@@ -213,7 +213,12 @@ Simulator::Options to_cpp_options(const hwpat_sim_options* opt) {
   o.full_sweep = full.full_sweep != 0;
   o.delta_limit = full.delta_limit;
   o.check_seq_contract = full.check_seq_contract != 0;
-  o.threads = full.threads;
+  // Kept for ABI layout only: a simulator always runs on one thread
+  // (parallelism is job-level, through hwpat_sweep).
+  if (full.threads != 0)
+    throw ArgumentError{
+        "hwpat_sim_options.threads is reserved and must be 0, got " +
+        std::to_string(full.threads)};
   o.tick_ps = full.tick_ps;
   o.fault_plan = full.fault_plan == nullptr ? "" : full.fault_plan;
   return o;
@@ -297,7 +302,6 @@ void hwpat_sim_options_init(hwpat_sim_options* opt) {
   opt->full_sweep = d.full_sweep ? 1 : 0;
   opt->delta_limit = d.delta_limit;
   opt->check_seq_contract = d.check_seq_contract ? 1 : 0;
-  opt->threads = d.threads;
   opt->tick_ps = d.tick_ps;
   opt->fault_plan = "";
 }

@@ -76,7 +76,7 @@ typedef struct hwpat_sim_options {
   int full_sweep;         /* 0/1: reference kernel instead of event-driven */
   int delta_limit;        /* > 0 */
   int check_seq_contract; /* 0/1 */
-  int threads;            /* >= 0: intra-sim parallel settle contexts */
+  int threads;            /* reserved, must be 0 */
   int64_t tick_ps;        /* > 0: physical picoseconds per tick */
   const char* fault_plan; /* NULL/"" = none; "<point>@<step>[+<k>]" */
 } hwpat_sim_options;

@@ -27,11 +27,9 @@
 // Saa2VgaTriClkConfig::lanes > 1 replicates the whole pipeline into a
 // capture *farm*: independent decoder→copy→vga lanes sharing the SAME
 // three clock domains (so still exactly three settle partitions, each
-// carrying `lanes`× the work).  That is the scaling shape the parallel
-// settle engine (Simulator::Options::threads, one worker per dirty
-// partition per delta) is built for, and what bench_multiclock's
-// threaded comparison runs.  lanes == 1 is the original design,
-// bit-identically (lane 0 keeps all legacy names).
+// carrying `lanes`× the work) — the design-scaling axis
+// bench_multiclock's farm rows chart.  lanes == 1 is the original
+// design, bit-identically (lane 0 keeps all legacy names).
 #pragma once
 
 #include "core/algorithm.hpp"

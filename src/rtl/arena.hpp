@@ -8,11 +8,11 @@
 // simulator (a SweepDriver job, a run_forked() branch) never pays
 // per-node heap traffic to elaborate.
 //
-// Thread safety: allocate() takes a mutex.  Growth is rare — list
-// capacities stabilize after the first settle — but a parallel-settle
-// worker may grow its partition's pending list mid-round, so the bump
-// path must be safe to call from any context.  Reads of already
-// allocated memory are unsynchronized, as ever.
+// Thread safety: allocate() takes a mutex (uncontended — a simulator and
+// its arena are driven by one thread at a time, SweepDriver workers each
+// owning their own; growth is rare anyway, as list capacities stabilize
+// after the first settle).  Reads of already allocated memory are
+// unsynchronized.
 #pragma once
 
 #include <cstddef>

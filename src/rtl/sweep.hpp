@@ -2,8 +2,8 @@
 //
 // A design-space sweep elaborates N parameterized design variants and
 // runs them concurrently on a pool of workers — one Simulator per
-// worker, embarrassingly parallel, entirely orthogonal to the
-// *intra*-simulator parallel settle (Simulator::Options::threads).
+// worker, embarrassingly parallel.  This is the only parallelism in the
+// stack: a single Simulator always runs on one thread.
 // Every job owns a private design instance built on the worker thread
 // by its `build` factory, so the only shared state between concurrent
 // runs is read-only configuration; per-variant results (stats, VCD

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,6 +29,33 @@ inline std::string slurp_and_remove(const std::string& path) {
   in.close();
   std::remove(path.c_str());
   return ss.str();
+}
+
+/// Path of `name` inside a directory private to this process, created
+/// under std::filesystem::temp_directory_path() on first use and
+/// removed with its contents at process exit.  Generated files routed
+/// through it cannot collide with those of a concurrently running copy
+/// of the same test binary.
+inline std::string scratch_path(const std::string& name) {
+  namespace fs = std::filesystem;
+  struct Dir {
+    fs::path path;
+    Dir() {
+      // create_directory() is false when the name exists: retry until
+      // this process owns a fresh directory.
+      std::random_device rd;
+      do {
+        path = fs::temp_directory_path() /
+               ("hwpat_tb_" + std::to_string(rd()) + std::to_string(rd()));
+      } while (!fs::create_directory(path));
+    }
+    ~Dir() {
+      std::error_code ec;
+      fs::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return (dir.path / name).string();
 }
 
 using core::StreamConsumer;

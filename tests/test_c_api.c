@@ -68,6 +68,20 @@ static void test_abi_and_errors(void) {
         HWPAT_ERR_ERROR);
   CHECK(strstr(hwpat_last_error(), "delta_limit") != NULL);
 
+  /* `threads` is reserved (a simulator runs on one thread): any
+   * non-zero value is rejected by name, zero is the accepted default. */
+  hwpat_sim_options_init(&opt);
+  CHECK(opt.threads == 0);
+  opt.threads = 2;
+  CHECK(hwpat_sim_create("saa2vga_pattern", NULL, &opt, &sim) ==
+        HWPAT_ERR_ARGUMENT);
+  CHECK(strstr(hwpat_last_error(), "threads") != NULL);
+  opt.threads = 0;
+  sim = NULL;
+  CHECK(hwpat_sim_create("saa2vga_pattern", "width=16,height=12", &opt,
+                         &sim) == HWPAT_OK);
+  hwpat_sim_destroy(sim);
+
   /* A spec violation (depth < 1) maps to its own status. */
   CHECK(hwpat_sim_create("saa2vga_pattern", "width=64,height=48,depth=0",
                          NULL, &sim) == HWPAT_ERR_SPEC);
@@ -298,8 +312,16 @@ static void test_sweep(void) {
   CHECK(hwpat_sweep_add(sweep, "sram16", "saa2vga_pattern",
                         "width=16,height=12,depth=256,device=sram",
                         NULL) == HWPAT_OK);
+  hwpat_sim_options opt;
+  hwpat_sim_options_init(&opt);
+  opt.threads = 2; /* reserved field: rejected by name at add time */
   CHECK(hwpat_sweep_add(sweep, "tri", "saa2vga_triclk",
-                        "width=16,height=12,lanes=1", NULL) == HWPAT_OK);
+                        "width=16,height=12,lanes=1", &opt) ==
+        HWPAT_ERR_ARGUMENT);
+  CHECK(strstr(hwpat_last_error(), "threads") != NULL);
+  opt.threads = 0;
+  CHECK(hwpat_sweep_add(sweep, "tri", "saa2vga_triclk",
+                        "width=16,height=12,lanes=1", &opt) == HWPAT_OK);
   CHECK(hwpat_sweep_add(sweep, "fifo16", "saa2vga_pattern", NULL, NULL) ==
         HWPAT_ERR_ARGUMENT); /* duplicate name */
   CHECK(hwpat_sweep_count(sweep) == 3);
