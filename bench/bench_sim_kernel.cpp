@@ -14,10 +14,16 @@
 //                    scheduling exists to shrink)
 //   commits_per_step SignalBase::commit() calls per edge
 //
+// vcd/saa2vga_pattern_48x32 repeats the 48x32 event-kernel flagship run
+// with a VCD open, pricing the waveform writer.
+//
 // bench/run_bench.sh runs this with JSON output into BENCH_sim.json;
 // the acceptance bar is >= 3x steps_per_sec for event vs full_sweep on
 // saa2vga_pattern at 48x32.
 #include <benchmark/benchmark.h>
+
+#include <filesystem>
+#include <random>
 
 #include "bench_util.hpp"
 #include "designs/design.hpp"
@@ -29,8 +35,9 @@ using namespace hwpat;
 
 void run_once(designs::VideoDesign& d, bool full_sweep,
               benchmark::State& state, std::uint64_t* cycles,
-              rtl::Simulator::Stats* stats) {
+              rtl::Simulator::Stats* stats, const std::string& vcd = {}) {
   rtl::Simulator sim(d, {.full_sweep = full_sweep});
+  if (!vcd.empty()) sim.open_vcd(vcd);
   sim.reset();
   if (!sim.run([&] { return d.finished(); }, 50'000'000))
     throw Error("bench_sim_kernel: timeout (" + sim.progress_report() + ")");
@@ -84,6 +91,30 @@ void BM_BlurPattern(benchmark::State& state) {
   report(state, cycles, stats);
 }
 
+std::unique_ptr<designs::VideoDesign> make_flagship() {
+  return designs::make_saa2vga_pattern(
+      {.width = 48, .height = 32, .buffer_depth = 64, .frames = 1});
+}
+
+// Waveform dumping: the flagship on the event kernel with a VCD open
+// for the whole run, so steps_per_sec next to saa2vga_pattern/event/48/32
+// prices the VCD writer.  The file goes to the temporary directory and
+// is removed after the run.
+void BM_VcdFlagship(benchmark::State& state) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("hwpat_bench_" + std::to_string(std::random_device{}()) + ".vcd"))
+          .string();
+  std::uint64_t cycles = 0;
+  rtl::Simulator::Stats stats;
+  for (auto _ : state) {
+    auto d = make_flagship();
+    run_once(*d, false, state, &cycles, &stats, path);
+  }
+  std::filesystem::remove(path);
+  report(state, cycles, stats);
+}
+
 // ------------------------------------------------------------ snapshot
 // Checkpoint cost on a warmed-up (mid-frame, cycle 500) simulator: one
 // iteration is one save_snapshot() or one restore_snapshot(), so the
@@ -92,11 +123,6 @@ void BM_BlurPattern(benchmark::State& state) {
 // the flagship single-clock design and on the tri-clock capture farm
 // (three domains, three lanes, async-FIFO CDC) whose heap/partition
 // state makes restore do the most rebuilding.
-
-std::unique_ptr<designs::VideoDesign> make_flagship() {
-  return designs::make_saa2vga_pattern(
-      {.width = 48, .height = 32, .buffer_depth = 64, .frames = 1});
-}
 
 std::unique_ptr<designs::VideoDesign> make_farm() {
   return designs::make_saa2vga_triclk({.width = 16,
@@ -227,6 +253,7 @@ BENCHMARK(BM_Saa2VgaPattern<true>)
     ->Args({32, 24})
     ->Args({48, 32})
     ->Args({64, 48});
+BENCHMARK(BM_VcdFlagship)->Name("vcd/saa2vga_pattern_48x32");
 BENCHMARK(BM_BlurPattern<false>)
     ->Name("blur_pattern/event")
     ->Args({32, 24})

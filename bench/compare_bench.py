@@ -6,9 +6,10 @@ Usage:
 
 Compares the kernel headline rows — flagship (saa2vga_pattern 48x32)
 and tri-clock farm (saa2vga_triclk_farm3) steps/sec for both kernels,
-plus the elaborate/teardown rows with their arena counters — between
-the committed perf trajectory and a fresh run, and prints a table
-suitable for a GitHub step summary.
+the flagship with a VCD open, plus the elaborate/teardown rows with
+their arena counters — between the committed perf trajectory and a
+fresh run, and prints a table suitable for a GitHub step summary.  A
+row the committed file does not have yet is marked "new".
 
 Informational only: wall-clock numbers from shared CI runners are
 noisy, so this never fails the build — the deterministic perf gate is
@@ -24,6 +25,7 @@ ROWS = [
     ("saa2vga_pattern/full_sweep/48/32", "steps_per_sec"),
     ("saa2vga_triclk_farm3/event", "steps_per_sec"),
     ("saa2vga_triclk_farm3/full_sweep", "steps_per_sec"),
+    ("vcd/saa2vga_pattern_48x32", "steps_per_sec"),
     ("elaborate/saa2vga_pattern_48x32", None),
     ("teardown/saa2vga_pattern_48x32", None),
     ("elaborate/saa2vga_triclk_farm3", None),
@@ -86,7 +88,9 @@ def main(argv):
         new = metric(current, name, key)
         if old is None and new is None:
             continue
-        if old in (None, 0) or new is None:
+        if old is None:
+            delta = "new"
+        elif old == 0 or new is None:
             delta = "n/a"
         else:
             delta = f"{(new - old) / old * 100.0:+.1f}%"

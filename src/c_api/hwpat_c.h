@@ -175,7 +175,7 @@ hwpat_status hwpat_sim_memory_stats_get(const hwpat_sim* sim,
 
 typedef struct hwpat_trace_options {
   size_t struct_size;   /* set to sizeof(hwpat_trace_options) */
-  size_t ring_capacity; /* phase spans retained per lane; 0 = default */
+  size_t ring_capacity; /* phase spans retained; 0 = default */
   int profile_modules;  /* 0/1: per-module eval/clock wall time */
 } hwpat_trace_options;
 

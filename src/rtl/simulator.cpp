@@ -1038,6 +1038,9 @@ void Simulator::step(int n) {
 // ---------------------------------------------------------------------
 
 void Simulator::open_vcd(const std::string& path) {
+  // Close (flush) the previous file first, so reopening the same path
+  // cannot interleave its buffered tail with the new file.
+  vcd_.reset();
   vcd_ = std::make_unique<VcdWriter>(
       path, top_, static_cast<std::uint64_t>(opt_.tick_ps));
   // Nothing is on the changed list yet: the first sample must scan all.

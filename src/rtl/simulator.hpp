@@ -315,7 +315,9 @@ class Simulator {
   void set_delta_limit(int limit);
 
   /// Starts dumping a VCD waveform of all hardware signals to `path`
-  /// (timestamps in ticks, $timescale from Options::tick_ps).
+  /// (timestamps in ticks, $timescale from Options::tick_ps).  Output
+  /// is buffered: the file is complete once the simulator is destroyed
+  /// or open_vcd() is called again, which closes the previous file.
   void open_vcd(const std::string& path);
 
   /// Serializes complete simulator state — every signal's committed

@@ -15,6 +15,17 @@
 //    observed changing since the last sample, found in O(1) through
 //    their dense Simulator-assigned ids.
 //
+// Value changes are formatted into one reusable char buffer: each entry
+// keeps its width and identifier characters inline, a bus value is
+// spelled through a 256-entry byte -> "01010101" table (the leading
+// width % 8 bits, then whole bytes), and timestamps go through
+// std::to_chars.  The buffer reaches the file in one write() whenever
+// it passes kFlushBytes, and for the last time when the writer is
+// destroyed.  A VCD file is therefore complete only once its writer is
+// gone: for Simulator::open_vcd(), when the simulator is destroyed or
+// open_vcd() is called again.  The header and `$var` declarations are
+// written once, directly to the stream.
+//
 // Values are read through SignalBase::as_word_fast(), which statically
 // dispatches the dominant Word/bool signal types instead of paying a
 // virtual as_word() call per sampled signal.
@@ -37,9 +48,15 @@ class VcdWriter {
   /// spec-legal quantum (1, 10 or 100 of a unit — IEEE 1364) dividing
   /// it, and timestamps are scaled by the remainder, so traces stay
   /// time-correct for any tick; the default 1000 emits the classic
-  /// `$timescale 1ns` with unscaled timestamps.
+  /// `$timescale 1ns` with unscaled timestamps.  Throws Error when a
+  /// hardware signal is wider than 64 bits.
   VcdWriter(const std::string& path, Module& top,
             std::uint64_t tick_ps = 1000);
+  /// Writes out the buffered value changes.
+  ~VcdWriter();
+
+  VcdWriter(const VcdWriter&) = delete;
+  VcdWriter& operator=(const VcdWriter&) = delete;
 
   /// Records the state at time `tick` (one VCD time unit per tick),
   /// scanning every declared signal.
@@ -51,23 +68,37 @@ class VcdWriter {
   void sample_changed(std::uint64_t tick, const std::int32_t* changed,
                       std::size_t n);
 
+  /// Buffered bytes that trigger a write() to the file.
+  static constexpr std::size_t kFlushBytes = 64 * 1024;
+
  private:
+  /// Base-94 identifier length bound: 94^5 exceeds the int entry index.
+  static constexpr int kMaxIdChars = 5;
+  /// Longest record: a timestamp line ("#", 20 digits, newline), then
+  /// "b", the value bits, " ", the id (copied whole) and a newline.
+  static constexpr std::size_t kMaxRecordBytes =
+      22 + 1 + kMaxBusBits + 1 + kMaxIdChars + 1;
+
   struct Entry {
     SignalBase* sig;
-    std::string id;
     Word last = ~Word{0};
+    int width;  ///< declared width (>= 1)
+    std::uint8_t id_len;
     bool ever = false;
+    char id[kMaxIdChars];
   };
 
   void declare_scope(Module& m);
   void emit(Entry& e, std::uint64_t tick, bool* stamped);
-  static std::string make_id(std::size_t n);
+  void flush();
 
   std::ofstream out_;
   std::uint64_t time_mult_ = 1;  ///< timestamp units per tick (header)
   std::vector<Entry> entries_;
   std::vector<int> entry_by_signal_id_;  ///< dense signal id -> entry, -1 none
   std::vector<int> scratch_;             ///< reused by sample_changed()
+  std::vector<char> buf_ = std::vector<char>(kFlushBytes + kMaxRecordBytes);
+  std::size_t len_ = 0;  ///< bytes of buf_ in use
 };
 
 }  // namespace hwpat::rtl

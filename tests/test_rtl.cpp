@@ -5,9 +5,11 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 
 #include "rtl/simulator.hpp"
 #include "rtl/vcd.hpp"
+#include "tb_util.hpp"
 
 namespace hwpat::rtl {
 namespace {
@@ -201,6 +203,193 @@ TEST(Vcd, ProducesHeaderAndChanges) {
   EXPECT_NE(all.find("$var wire 8"), std::string::npos);
   EXPECT_NE(all.find("#3"), std::string::npos);
   std::remove(path.c_str());
+}
+
+/// Buses of every width class the VCD formatter treats differently
+/// (one bit, a partial leading byte, whole bytes, a full Word), with
+/// enough signals that identifiers run to two characters.  Each clock
+/// loads bus i from kPatterns, holding some buses for several cycles so
+/// samples carry both changed and unchanged signals.
+class WidthZoo : public Module {
+ public:
+  static constexpr int kWidths[] = {1, 2, 7, 8, 9, 31, 63, 64};
+  static constexpr Word kPatterns[] = {0,
+                                       ~Word{0},
+                                       0xAAAAAAAAAAAAAAAAull,
+                                       0x5555555555555555ull,
+                                       0x0123456789ABCDEFull,
+                                       1};
+
+  explicit WidthZoo(int copies) : Module(nullptr, "zoo") {
+    for (int c = 0; c < copies; ++c)
+      for (const int w : kWidths) {
+        std::string name(1, 'b');
+        name += std::to_string(buses.size());
+        buses.push_back(std::make_unique<Bus>(*this, name, w));
+      }
+  }
+
+  void on_reset() override { phase_ = 0; }
+  void on_clock() override {
+    ++phase_;
+    for (std::size_t i = 0; i < buses.size(); ++i)
+      buses[i]->write(
+          kPatterns[(phase_ / (1 + i % 3) + i) % std::size(kPatterns)]);
+  }
+
+  std::vector<std::unique_ptr<Bus>> buses;
+
+ private:
+  std::size_t phase_ = 0;
+};
+
+/// What every VCD sample saw: the simulator tick and each bus's value.
+struct ZooTrace {
+  std::vector<std::uint64_t> ticks;
+  std::vector<std::vector<Word>> values;
+
+  void record(const WidthZoo& z, const Simulator& sim) {
+    ticks.push_back(sim.now());
+    std::vector<Word>& v = values.emplace_back();
+    for (const auto& b : z.buses) v.push_back(b->read());
+  }
+};
+
+/// Reference VCD value-change section for samples [from, end) of `t`,
+/// spelled bit by bit straight from the format: the first sample dumps
+/// every signal, later ones only those that changed, each sample with
+/// changes opening with `#<tick * mult>`.
+std::string naive_vcd_changes(const WidthZoo& z, const ZooTrace& t,
+                              std::size_t from, std::uint64_t mult) {
+  std::string out;
+  for (std::size_t k = from; k < t.ticks.size(); ++k) {
+    bool stamped = false;
+    for (std::size_t i = 0; i < z.buses.size(); ++i) {
+      const Word v = t.values[k][i];
+      if (k != from && v == t.values[k - 1][i]) continue;
+      if (!stamped) {
+        out += '#';
+        out += std::to_string(t.ticks[k] * mult);
+        out += '\n';
+        stamped = true;
+      }
+      std::string id;
+      std::size_t n = i;
+      do {
+        id += static_cast<char>('!' + n % 94);
+        n /= 94;
+      } while (n != 0);
+      const int w = z.buses[i]->width();
+      if (w == 1) {
+        out += std::string(v & 1 ? "1" : "0") + id + "\n";
+        continue;
+      }
+      out += "b";
+      for (int b = w - 1; b >= 0; --b) out += (v >> b) & 1 ? '1' : '0';
+      out += " " + id + "\n";
+    }
+  }
+  return out;
+}
+
+/// The part of a VCD file after its header.
+std::string vcd_changes(const std::string& vcd) {
+  const std::string end = "$enddefinitions $end\n";
+  const std::size_t at = vcd.find(end);
+  EXPECT_NE(at, std::string::npos);
+  return at == std::string::npos ? std::string() : vcd.substr(at + end.size());
+}
+
+/// Runs a WidthZoo for `steps` clocks with a VCD open from reset on,
+/// recording every sample into `trace`.  Returns the VCD text.
+std::string run_zoo(WidthZoo& z, bool full_sweep, int steps,
+                    ZooTrace* trace) {
+  const std::string path = tb::scratch_path(
+      full_sweep ? "zoo_full_sweep.vcd" : "zoo_event.vcd");
+  {
+    Simulator sim(z, {.full_sweep = full_sweep, .tick_ps = 40'000});
+    sim.open_vcd(path);
+    sim.reset();
+    trace->record(z, sim);
+    for (int i = 0; i < steps; ++i) {
+      sim.step();
+      trace->record(z, sim);
+    }
+  }
+  return tb::slurp_and_remove(path);
+}
+
+// Every other VCD byte-identity gate compares two runs of the same
+// writer; this one checks its output against the format itself.
+TEST(Vcd, MatchesIndependentReferenceFormatter) {
+  for (const bool full_sweep : {false, true}) {
+    WidthZoo z(13);
+    ASSERT_GT(z.buses.size(), 94u);  // two-character identifiers
+    ZooTrace t;
+    const std::string vcd = run_zoo(z, full_sweep, 40, &t);
+    // tick_ps = 40'000 is `$timescale 10ns` with timestamps times 4.
+    EXPECT_NE(vcd.find("$timescale 10ns $end\n"), std::string::npos);
+    EXPECT_EQ(vcd_changes(vcd), naive_vcd_changes(z, t, 0, 4))
+        << (full_sweep ? "full_sweep" : "event");
+  }
+}
+
+TEST(Vcd, OutputSpanningManyFlushesIsComplete) {
+  WidthZoo ze(13), zf(13);
+  ZooTrace te, tf;
+  const std::string evt = run_zoo(ze, false, 400, &te);
+  const std::string ref = run_zoo(zf, true, 400, &tf);
+  ASSERT_GT(evt.size(), 4 * VcdWriter::kFlushBytes);
+  EXPECT_EQ(evt, ref);
+  // The final sample changes something, so the file must end with its
+  // last record.
+  const std::string want = naive_vcd_changes(ze, te, 0, 4);
+  ASSERT_NE(want.rfind("#" + std::to_string(te.ticks.back() * 4) + "\n"),
+            std::string::npos);
+  const std::size_t last = want.rfind('\n', want.size() - 2);
+  ASSERT_NE(last, std::string::npos);
+  EXPECT_TRUE(evt.ends_with(want.substr(last + 1)));
+  EXPECT_EQ(vcd_changes(evt), want);
+}
+
+TEST(Vcd, ReopeningFlushesThePreviousFile) {
+  const std::string first = tb::scratch_path("reopen_first.vcd");
+  const std::string second = tb::scratch_path("reopen_second.vcd");
+  WidthZoo z(13);
+  ZooTrace t;
+  auto sim =
+      std::make_unique<Simulator>(z, Simulator::Options{.tick_ps = 40'000});
+  const auto run = [&](int steps) {
+    for (int i = 0; i < steps; ++i) {
+      sim->step();
+      t.record(z, *sim);
+    }
+  };
+  sim->open_vcd(first);
+  sim->reset();
+  t.record(z, *sim);
+  run(100);  // more than one buffer's worth
+  sim->open_vcd(second);
+  // The replaced writer is gone, so its file is complete already.
+  const std::string a = tb::slurp_and_remove(first);
+  ASSERT_GT(a.size(), VcdWriter::kFlushBytes);
+  EXPECT_EQ(vcd_changes(a), naive_vcd_changes(z, t, 0, 4));
+  run(30);
+  // Reopening the same path starts it afresh: only what follows stays,
+  // opening with a full dump.
+  const std::size_t reopened = t.ticks.size();
+  sim->open_vcd(second);
+  run(30);
+  sim.reset();
+  EXPECT_EQ(vcd_changes(tb::slurp_and_remove(second)),
+            naive_vcd_changes(z, t, reopened, 4));
+}
+
+TEST(Vcd, RejectsSignalsWiderThanAWord) {
+  Counter top(nullptr, "cnt", 8, 255);
+  Signal<Word> wide(top, "wide", 65);
+  Simulator sim(top);
+  EXPECT_THROW(sim.open_vcd(tb::scratch_path("wide.vcd")), Error);
 }
 
 TEST(PrimitiveTally, AccumulatesAndMaxFoldsDepth) {
