@@ -6,11 +6,10 @@
 //
 // With --append-bench FILE the program additionally times the code
 // generator — the structured statement/expression IR path
-// (generate + validate + emit) against the RawLines escape hatch (the
-// surviving pre-IR string path: prerendered text pasted verbatim) —
-// and appends `emit/...` rows with units_per_sec into FILE, an
-// existing google-benchmark JSON report (BENCH_sim.json), so the perf
-// trajectory tracks codegen throughput alongside the kernel numbers.
+// (generate + validate + emit) — and appends an `emit/structured_ir`
+// row with units_per_sec into FILE, an existing google-benchmark JSON
+// report (BENCH_sim.json), so the perf trajectory tracks codegen
+// throughput alongside the kernel numbers.
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -33,35 +32,6 @@ void emit(const hdl::DesignUnit& u, const std::string& header) {
   std::filesystem::create_directories("gen_vhdl");
   std::ofstream out("gen_vhdl/" + u.entity.name + ".vhd");
   out << meta::to_vhdl(u);
-}
-
-/// The pre-IR emitter represented architecture bodies as opaque
-/// strings.  Model that path with the surviving escape hatch: the same
-/// entity and declarations, the whole body prerendered once and pasted
-/// back through RawLines.
-hdl::DesignUnit raw_lines_variant(const hdl::DesignUnit& u) {
-  hdl::DesignUnit raw;
-  raw.entity = u.entity;
-  raw.arch.of = u.arch.of;
-  raw.arch.types = u.arch.types;
-  raw.arch.signals = u.arch.signals;
-  std::vector<std::string> lines;
-  std::istringstream is(hdl::emit_architecture(u.arch));
-  std::string line;
-  bool in_body = false;
-  while (std::getline(is, line)) {
-    if (line == "begin") {
-      in_body = true;
-      continue;
-    }
-    if (line == "end " + u.arch.name + ";") break;
-    if (in_body) lines.push_back(line.substr(line.empty() ? 0 : 2));
-  }
-  hdl::Process p;
-  p.label = "legacy_text";
-  p.body = {hdl::RawLines{std::move(lines)}};
-  raw.arch.body.push_back(std::move(p));
-  return raw;
 }
 
 /// Times fn() for `iters` runs of `units_per_iter` units each and
@@ -113,19 +83,6 @@ int append_bench(const std::string& path,
       },
       kIters, kUnits, sink);
 
-  // String path: the same units prerendered once, re-emitted through
-  // the RawLines escape hatch (no statement trees to walk/validate).
-  std::vector<hdl::DesignUnit> raws;
-  for (const auto& s : specs)
-    raws.push_back(raw_lines_variant(meta::generate_container(s)));
-  const double raw = units_per_sec(
-      [&] {
-        std::size_t n = 0;
-        for (const auto& u : raws) n += meta::to_vhdl(u).size();
-        return n;
-      },
-      kIters, kUnits, sink);
-
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     std::fprintf(stderr, "error: cannot read %s (run the JSON benches "
@@ -142,15 +99,12 @@ int append_bench(const std::string& path,
                  "report\n", path.c_str());
     return 1;
   }
-  const std::string rows = ",\n" +
-      bench_row("emit/structured_ir", kIters, structured) + ",\n" +
-      bench_row("emit/raw_lines", kIters, raw);
-  doc.insert(close, rows);
+  doc.insert(close,
+             ",\n" + bench_row("emit/structured_ir", kIters, structured));
   std::ofstream(path, std::ios::binary) << doc;
-  std::printf("appended emit rows to %s (%zu bytes emitted during "
+  std::printf("appended emit row to %s (%zu bytes emitted during "
               "timing):\n", path.c_str(), sink);
   std::printf("  emit/structured_ir  %10.0f units/sec\n", structured);
-  std::printf("  emit/raw_lines      %10.0f units/sec\n", raw);
   return 0;
 }
 

@@ -176,8 +176,8 @@ BENCHMARK(BM_Saa2VgaDualClk<true>)
     ->Args({1, 1})
     ->Args({3, 1});
 // Tri-clock: camera/memory/pixel periods; 5:2:3 is the pairwise-
-// coprime stress case for the tick-heap edge scheduler and the settle
-// partitions.
+// coprime stress case for the edge scheduler (edges rarely coincide)
+// and the settle partitions.
 BENCHMARK(BM_Saa2VgaTriClk<false>)
     ->Name("saa2vga_triclk/event")
     ->Args({5, 2, 3})

@@ -121,8 +121,8 @@ void BM_VcdFlagship(benchmark::State& state) {
 // reported per-iteration time is the µs cost of a checkpoint or a
 // rollback; blob_bytes is the serialized checkpoint size.  Measured on
 // the flagship single-clock design and on the tri-clock capture farm
-// (three domains, three lanes, async-FIFO CDC) whose heap/partition
-// state makes restore do the most rebuilding.
+// (three domains, three lanes, async-FIFO CDC) whose per-domain
+// scheduler and partition state makes restore do the most rebuilding.
 
 std::unique_ptr<designs::VideoDesign> make_farm() {
   return designs::make_saa2vga_triclk({.width = 16,

@@ -28,8 +28,12 @@
 // --check fails (exit 1) when any scenario's cycle count differs from
 // the baseline, or when evals/commits exceed the baseline by more than
 // the slack (2%, absorbing innocuous scheduling-order churn).  Doing
-// strictly *better* passes with a note — refresh the baselines in the
-// same PR to lock the win in.
+// strictly *better* on those passes with a note — refresh the baselines
+// in the same PR to lock the win in.  The skip counters (seq_skips,
+// partition_skips, act_skips) must stay within the slack on BOTH
+// sides: a drop means a mechanism disengaged, a rise means the counter
+// miscounts (evals unchanged) or the baselines need a deliberate
+// refresh.
 #include <cctype>
 #include <cstdint>
 #include <fstream>
@@ -339,6 +343,31 @@ bool check_counter(const std::string& scenario, const std::string& what,
   return true;
 }
 
+/// One skip counter (work the kernel avoided) against its baseline;
+/// returns false when it moved outside the slack in either direction.
+/// A drop means the mechanism behind it partially disengaged (`why`).
+/// A rise is no win on its own: with evals unchanged it means the
+/// counter miscounts, so an intended rise refreshes the baselines.
+bool check_skips(const std::string& scenario, const std::string& what,
+                 std::uint64_t now, std::uint64_t base, const char* why) {
+  const auto lo = static_cast<std::uint64_t>(
+      static_cast<double>(base) * (1.0 - kSlack));
+  const auto hi = static_cast<std::uint64_t>(
+      static_cast<double>(base) * (1.0 + kSlack));
+  if (now < lo) {
+    std::cout << "FAIL " << scenario << ": " << what << " dropped " << base
+              << " -> " << now << " (min " << lo << ") — " << why << "\n";
+    return false;
+  }
+  if (now > hi) {
+    std::cout << "FAIL " << scenario << ": " << what << " rose " << base
+              << " -> " << now << " (max " << hi
+              << ") — refresh bench/baselines.json if intended\n";
+    return false;
+  }
+  return true;
+}
+
 int check(const std::string& path) {
   const auto base = read_baselines(path);
   const auto now = run_all();
@@ -386,43 +415,18 @@ int check(const std::string& path) {
                         it->second.partition_settles);
     // ...and partition_skips gates it from the other side: quiet
     // subtrees must KEEP being skipped.
-    const auto min_pskips = static_cast<std::uint64_t>(
-        static_cast<double>(it->second.partition_skips) * (1.0 - kSlack));
-    if (c.partition_skips < min_pskips) {
-      std::cout << "FAIL " << name << ": partition_skips dropped "
-                << it->second.partition_skips << " -> "
-                << c.partition_skips << " (min " << min_pskips
-                << ") — per-domain settle partitioning partially "
-                   "disengaged\n";
-      ok = false;
-    }
+    ok &= check_skips(name, "partition_skips", c.partition_skips,
+                      it->second.partition_skips,
+                      "per-domain settle partitioning partially disengaged");
     // act_skips gates the activation lists staying engaged: a module
     // leaking into every domain's list shows up as fewer skips.
-    const auto min_act = static_cast<std::uint64_t>(
-        static_cast<double>(it->second.act_skips) * (1.0 - kSlack));
-    if (c.act_skips < min_act) {
-      std::cout << "FAIL " << name << ": act_skips dropped "
-                << it->second.act_skips << " -> " << c.act_skips
-                << " (min " << min_act
-                << ") — per-domain activation lists partially disengaged\n";
-      ok = false;
-    }
+    ok &= check_skips(name, "act_skips", c.act_skips, it->second.act_skips,
+                      "per-domain activation lists partially disengaged");
     // seq_skips gates the declared-state protocol staying engaged: a
     // module regressing to opaque (or a lost declaration) shows up as
     // fewer post-edge skips even when evals stay inside their slack.
-    const auto min_skips = static_cast<std::uint64_t>(
-        static_cast<double>(it->second.seq_skips) * (1.0 - kSlack));
-    if (c.seq_skips < min_skips) {
-      std::cout << "FAIL " << name << ": seq_skips dropped "
-                << it->second.seq_skips << " -> " << c.seq_skips
-                << " (min " << min_skips
-                << ") — declared-state skipping partially disengaged\n";
-      ok = false;
-    } else if (c.seq_skips > it->second.seq_skips) {
-      std::cout << "note " << name << ": seq_skips improved "
-                << it->second.seq_skips << " -> " << c.seq_skips
-                << " — refresh bench/baselines.json to lock it in\n";
-    }
+    ok &= check_skips(name, "seq_skips", c.seq_skips, it->second.seq_skips,
+                      "declared-state skipping partially disengaged");
   }
   for (const auto& [name, c] : base) {
     (void)c;

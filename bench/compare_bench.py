@@ -33,7 +33,6 @@ ROWS = [
     ("elaborate/saa2vga_pattern_48x32", "arena_bytes_used"),
     ("elaborate/saa2vga_triclk_farm3", "arena_bytes_used"),
     ("emit/structured_ir", "units_per_sec"),
-    ("emit/raw_lines", "units_per_sec"),
 ]
 
 

@@ -57,9 +57,9 @@ run_one() {
 
 run_one bench_sim_kernel BENCH_sim.json
 
-# Codegen throughput: appends emit/structured_ir and emit/raw_lines
-# rows (units/sec) into the report bench_sim_kernel just wrote, so the
-# generator's perf rides the same trajectory as the kernel numbers.
+# Codegen throughput: appends the emit/structured_ir row (units/sec)
+# into the report bench_sim_kernel just wrote, so the generator's perf
+# rides the same trajectory as the kernel numbers.
 "$build_dir/bench_fig4_fig5_codegen" --append-bench "$repo_root/BENCH_sim.json"
 
 run_one bench_multiclock BENCH_multiclock.json

@@ -19,7 +19,7 @@
 // `!empty`) keeps the pipeline lossless at *any* ratio of the three
 // periods; the default 5:2:3 camera:memory:pixel ratio is pairwise
 // coprime, so edges almost never align — the stress case for the
-// tick-heap edge scheduler and the per-domain settle partitions
+// edge scheduler and the per-domain settle partitions
 // (an edge of one clock leaves the other two domains' quiet subtrees
 // untouched: Stats::partition_skips > 0 is asserted in the tests and
 // gated in bench/baselines.json).

@@ -555,10 +555,7 @@ struct Validator {
         }
         check_stmts(arm.body);
       }
-      return;
     }
-    // RawLines: the documented escape hatch — emitted verbatim,
-    // never validated.
   }
 
   void check_process(const Process& p) const {

@@ -117,7 +117,8 @@ class SignalBase {
   void mark_cdc_cross() { cdc_cross_ = true; }
   [[nodiscard]] bool cdc_cross() const { return cdc_cross_; }
 
-  /// Storage type tag (devirtualized commit dispatch — see commit_fast).
+  /// Storage type tag: selects a binding Simulator's dense value arrays
+  /// for Word/bool signals, and the *_fast() dispatch below.
   [[nodiscard]] SigKind kind() const { return kind_; }
 
   /// Copies next into current.  Returns true when the visible value
@@ -127,11 +128,6 @@ class SignalBase {
   /// uses it to roll back the writes of an aborted clock-edge event
   /// (cold path — no devirtualized dispatch needed).
   virtual void discard_write() = 0;
-  /// Non-virtual commit dispatcher: inlines the Word/bool fast paths
-  /// (the two signal types that dominate every shipped design) and
-  /// falls back to the virtual commit() for everything else.  Defined
-  /// after Signal<T> below.
-  bool commit_fast();
   /// Restores the construction-time value on both phases (global reset).
   virtual void reset_value() = 0;
   /// Current value as a word, for VCD dumping (width <= 64 only).
@@ -154,7 +150,7 @@ class SignalBase {
   /// Restores a serialized value onto both phases (current and next).
   virtual void load_value(StateReader& r) = 0;
   /// Non-virtual save/load dispatchers riding the SigKind tags, like
-  /// commit_fast()/as_word_fast().  Defined after Signal<T> below.
+  /// as_word_fast().  Defined after Signal<T> below.
   void save_value_fast(StateWriter& w) const;
   void load_value_fast(StateReader& r);
 
@@ -269,18 +265,15 @@ class Signal : public SignalBase {
   /// Throws away an uncommitted write (aborted-event rollback).
   void discard_write() final { *nxtp_ = *curp_; }
 
-  /// Non-virtual body of commit(), callable directly when the concrete
-  /// type is known statically (the commit_fast() dispatch).
-  bool commit_inline() {
+  // final: a bound simulator commits Word/bool signals straight through
+  // its dense value arrays (Simulator::commit_signal), so a subclass
+  // override here would be silently bypassed — the compiler rejects the
+  // attempt instead.
+  bool commit() final {
     if (*nxtp_ == *curp_) return false;
     *curp_ = *nxtp_;
     return true;
   }
-
-  // final: commit_fast() statically dispatches Word/bool signals to
-  // commit_inline(), so a subclass override here would be silently
-  // bypassed — the compiler now rejects the attempt instead.
-  bool commit() final { return commit_inline(); }
 
   /// Non-virtual body of as_word(), callable directly when the concrete
   /// type is known statically (the as_word_fast() dispatch).
@@ -292,7 +285,8 @@ class Signal : public SignalBase {
     }
   }
 
-  // final for the same reason as commit() above.
+  // final: as_word_fast() statically dispatches Word/bool signals to
+  // as_word_inline(), so an override would be bypassed likewise.
   [[nodiscard]] Word as_word() const final { return as_word_inline(); }
 
   /// Non-virtual bodies of save_value()/load_value(), callable directly
@@ -333,7 +327,7 @@ class Signal : public SignalBase {
     return !(*nxtp_ == *curp_);
   }
 
-  // final for the same reason as commit() above.
+  // final for the same reason as as_word() above.
   void save_value(StateWriter& w) const final { save_value_inline(w); }
   void load_value(StateReader& r) final { load_value_inline(r); }
 
@@ -384,23 +378,10 @@ class Bus : public Signal<Word> {
   void write(Word v) { Signal<Word>::write(truncate(v, width())); }
 };
 
-inline bool SignalBase::commit_fast() {
+inline Word SignalBase::as_word_fast() const {
   // The static_casts are sound because kind_ is derived from T at
   // construction: kWord signals *are* Signal<Word> (possibly via Bus),
   // kBool signals are Signal<bool> (possibly via Bit).
-  switch (kind_) {
-    case SigKind::kWord:
-      return static_cast<Signal<Word>*>(this)->commit_inline();
-    case SigKind::kBool:
-      return static_cast<Signal<bool>*>(this)->commit_inline();
-    case SigKind::kOther:
-      break;
-  }
-  return commit();
-}
-
-inline Word SignalBase::as_word_fast() const {
-  // Soundness of the static_casts: same argument as commit_fast().
   switch (kind_) {
     case SigKind::kWord:
       return static_cast<const Signal<Word>*>(this)->as_word_inline();
@@ -413,7 +394,7 @@ inline Word SignalBase::as_word_fast() const {
 }
 
 inline void SignalBase::save_value_fast(StateWriter& w) const {
-  // Soundness of the static_casts: same argument as commit_fast().
+  // Soundness of the static_casts: same argument as as_word_fast().
   switch (kind_) {
     case SigKind::kWord:
       static_cast<const Signal<Word>*>(this)->save_value_inline(w);
@@ -428,7 +409,7 @@ inline void SignalBase::save_value_fast(StateWriter& w) const {
 }
 
 inline void SignalBase::load_value_fast(StateReader& r) {
-  // Soundness of the static_casts: same argument as commit_fast().
+  // Soundness of the static_casts: same argument as as_word_fast().
   switch (kind_) {
     case SigKind::kWord:
       static_cast<Signal<Word>*>(this)->load_value_inline(r);

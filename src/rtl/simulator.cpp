@@ -242,33 +242,6 @@ void Simulator::build_domains() {
   for (std::size_t i = 0; i < scheds_.size(); ++i) parts_.emplace_back(&arena_);
   dirty_parts_.clear();
   single_part_ = scheds_.size() == 1;
-  build_edge_heap();
-}
-
-void Simulator::build_edge_heap() {
-  heap_.resize(scheds_.size());
-  for (std::size_t i = 0; i < heap_.size(); ++i) heap_[i] = i;
-  std::make_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-}
-
-std::uint64_t Simulator::pop_due_edges() {
-  HWPAT_ASSERT(!heap_.empty());
-  firing_.clear();
-  const std::uint64_t t = scheds_[heap_.front()].next_edge;
-  while (!heap_.empty() && scheds_[heap_.front()].next_edge == t) {
-    std::pop_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-    firing_.push_back(heap_.back());
-    heap_.pop_back();
-  }
-  return t;
-}
-
-void Simulator::rearm_fired_edges() {
-  for (const std::size_t di : firing_) {
-    scheds_[di].next_edge += scheds_[di].period;
-    heap_.push_back(di);
-    std::push_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-  }
 }
 
 void Simulator::unbind() {
@@ -389,11 +362,6 @@ void Simulator::reset_stats() {
   stats_.domain_edges.assign(scheds_.size(), 0);
 }
 
-void Simulator::set_delta_limit(int limit) {
-  HWPAT_ASSERT(limit > 0);
-  opt_.delta_limit = limit;
-}
-
 std::size_t Simulator::fanout_size(const SignalBase& s) const {
   const std::int32_t sid = s.id_;
   if (sid < 0 || static_cast<std::size_t>(sid) >= signals_.size() ||
@@ -422,15 +390,6 @@ bool Simulator::step_checked() {
     step();
     return true;
   }
-}
-
-void Simulator::require_domain_index(std::size_t domain_idx,
-                                     const char* who) const {
-  if (domain_idx >= scheds_.size())
-    throw Error(std::string(who) + ": domain index " +
-                std::to_string(domain_idx) + " out of range (design '" +
-                top_.name() + "' has " + std::to_string(scheds_.size()) +
-                " domains)");
 }
 
 std::string Simulator::progress_report() const {
@@ -895,13 +854,9 @@ void Simulator::reset() {
   cycle_ = 0;
   tick_ = 0;
   for (DomainSched& ds : scheds_) ds.next_edge = ds.phase + ds.period;
-  build_edge_heap();
   // Clear any scheduler state left by writes since the last settle (or
   // by a CombLoopError unwind): reset_value() bypasses write(), so stale
-  // pending entries would otherwise commit garbage later.  firing_ too:
-  // after an exception unwound a clock-edge event, stale indices in it
-  // must not leak into the next step()'s edge accounting.
-  firing_.clear();
+  // pending entries would otherwise commit garbage later.
   for (Partition& p : parts_) {
     p.worklist.clear();
     p.pending.clear();
@@ -967,63 +922,20 @@ void Simulator::fire_edges_full_sweep() {
 
 void Simulator::step(int n) {
   BusyGuard busy(busy_);
-  if (single_part_) {
-    // Single-domain specialization: the heap is a 1-element formality
-    // (its order is trivially maintained by bumping next_edge in
-    // place), firing_ is pinned to {0} (pop_due_edges is never called,
-    // and on a throw nothing was popped — retrying re-fires the same
-    // tick with no unwinding bookkeeping at all), and the per-step loop
-    // carries none of the multi-domain pop/re-arm machinery.
-    DomainSched& ds = scheds_[0];
-    if (firing_.empty()) firing_.push_back(0);
-    for (int i = 0; i < n; ++i) {
-      settle();
-      const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-      if (opt_.full_sweep) {
-        fire_edges_full_sweep();
-      } else {
-        clock_edge_event();
-      }
-      if (telem_ != nullptr)
-        telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(),
-                    ds.next_edge);
-      // Time advances only once the event succeeded: an aborted event
-      // leaves now() (and everything else) untouched.
-      tick_ = ds.next_edge;
-      ds.next_edge += ds.period;
-      settle();
-      ++cycle_;
-      ++stats_.steps;
-      if (vcd_) sample_vcd();
-    }
-    return;
-  }
   for (int i = 0; i < n; ++i) {
     settle();
-    const std::uint64_t t = pop_due_edges();
+    const std::uint64_t t = collect_due_edges();
     const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
-    try {
-      if (opt_.full_sweep) {
-        fire_edges_full_sweep();
-      } else {
-        clock_edge_event();
-      }
-      if (telem_ != nullptr)
-        telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
-    } catch (...) {
-      // Push the popped edges back un-advanced, so a caught throw (a
-      // strict device raising ProtocolError) leaves the heap
-      // consistent and a retried step() re-fires the same tick; clear
-      // firing_ so the aborted event's stale indices can never leak
-      // into later edge accounting (reset() clears it too).  tick_ was
-      // never advanced: an aborted event leaves now() untouched.
-      for (const std::size_t di : firing_) {
-        heap_.push_back(di);
-        std::push_heap(heap_.begin(), heap_.end(), EdgeLater{&scheds_});
-      }
-      firing_.clear();
-      throw;
+    if (opt_.full_sweep) {
+      fire_edges_full_sweep();
+    } else {
+      clock_edge_event();
     }
+    if (telem_ != nullptr)
+      telem_->add(TracePhase::EdgeEvent, t0, telem_->now_ns(), t);
+    // Time advances only once the event succeeded: an aborted event
+    // leaves now() and every next_edge untouched, so a retried step()
+    // re-fires the same tick.
     tick_ = t;
     rearm_fired_edges();
     settle();

@@ -2,9 +2,9 @@
 //
 // Time is an integer *tick* counter.  Each clock domain (rtl/clock.hpp)
 // produces rising edges at ticks phase + k*period; one step() advances
-// to the next tick with at least one edge — found through a
-// tick-ordered binary heap of next-edge events, O(log D) in the domain
-// count D — and executes every edge scheduled there:
+// to the next tick with at least one edge — found by a scan of the
+// domains' next-edge ticks (designs run on a handful of clocks) — and
+// executes every edge scheduled there:
 //   1. settle combinational logic to a fixpoint (delta cycles),
 //   2. run the on_clock() of every module on the firing domains'
 //      *activation lists* on the settled values,
@@ -78,7 +78,6 @@
 // See src/rtl/README.md for the design discussion.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -249,34 +248,6 @@ class Simulator {
     }
   }
 
-  /// Domain-filtered run(): like the two-argument overload, but for a
-  /// predicate that can only change on edges of domain `domain_idx`
-  /// (indexed like domain_info()) — the predicate is skipped after
-  /// events where that domain did not fire.  Outcomes and step counts
-  /// are identical to the unfiltered overload whenever the stated
-  /// dependency actually holds.  Throws Error when domain_idx is out
-  /// of range (that is API misuse, not a run outcome).
-  template <typename Pred>
-  [[nodiscard]] RunStatus run(Pred&& pred, std::uint64_t max_cycles,
-                              std::size_t domain_idx) {
-    require_domain_index(domain_idx, "run");
-    if (pred()) return {RunResult::PredSatisfied, 0};
-    for (std::uint64_t n = 0;;) {
-      if (n >= max_cycles) return {RunResult::Timeout, n};
-      if (!step_checked()) return {RunResult::FaultLatched, n};
-      ++n;
-      if (last_event_fired(domain_idx) && pred())
-        return {RunResult::PredSatisfied, n};
-    }
-  }
-
-  /// True when domain `domain_idx` fired at the most recent clock-edge
-  /// event (false before the first step after construction or reset).
-  [[nodiscard]] bool last_event_fired(std::size_t domain_idx) const {
-    return std::find(firing_.begin(), firing_.end(), domain_idx) !=
-           firing_.end();
-  }
-
   /// Settles combinational logic without a clock edge (for comb-only
   /// tests and for observing post-reset state).
   void settle();
@@ -310,9 +281,6 @@ class Simulator {
   /// that ever read `s`.  Throws Error for a signal outside this
   /// simulator's design.
   [[nodiscard]] std::size_t fanout_size(const SignalBase& s) const;
-
-  /// Maximum delta iterations per settle before CombLoopError.
-  void set_delta_limit(int limit);
 
   /// Starts dumping a VCD waveform of all hardware signals to `path`
   /// (timestamps in ticks, $timescale from Options::tick_ps).  Output
@@ -391,10 +359,6 @@ class Simulator {
   /// exception propagates.  The body of run().
   bool step_checked();
 
-  /// Throws Error when `domain_idx` is not a valid domain_info() index
-  /// (`who` names the calling API in the message).
-  void require_domain_index(std::size_t domain_idx, const char* who) const;
-
   /// Per-domain scheduler state: the activation list (modules whose
   /// on_clock() runs on this domain's edges) and the next edge tick.
   /// The module lists live in the simulator's arena.
@@ -423,19 +387,6 @@ class Simulator {
     ArenaVector<Module*> checkers;
   };
 
-  /// Heap order for the tick-ordered edge scheduler: a min-heap on
-  /// (next_edge, domain index) via std::*_heap's max-heap convention.
-  /// The index tiebreak makes simultaneous edges pop in domain order,
-  /// exactly like the linear scan the heap replaced.
-  struct EdgeLater {
-    const std::vector<DomainSched>* scheds;
-    bool operator()(std::size_t a, std::size_t b) const {
-      const std::uint64_t ta = (*scheds)[a].next_edge;
-      const std::uint64_t tb = (*scheds)[b].next_edge;
-      return ta != tb ? ta > tb : a > b;
-    }
-  };
-
   void bind();
   void unbind();
   /// Allocates the dense SoA arrays and CSR index arrays from the
@@ -448,16 +399,29 @@ class Simulator {
   /// domain-affinity partition.  Part of bind().
   void build_domains();
   std::size_t sched_index_for(const ClockDomain* d);
-  /// Rebuilds the tick-ordered edge heap from the scheds_' next_edge
-  /// fields (bind and reset).
-  void build_edge_heap();
-  /// Pops every domain due at the soonest tick off the edge heap into
-  /// firing_ (ascending domain index) and returns that tick — O(log D)
-  /// per popped edge instead of the former linear scan over domains.
-  std::uint64_t pop_due_edges();
-  /// Re-arms the popped domains one period later and pushes them back
-  /// onto the edge heap.
-  void rearm_fired_edges();
+  /// Scans the domains for the soonest next edge, collects every domain
+  /// due at that tick into firing_ (ascending domain index — the order
+  /// simultaneous edges fire in) and returns the tick.  Inline: it runs
+  /// once per step.
+  std::uint64_t collect_due_edges() {
+    firing_.clear();
+    std::uint64_t t = UINT64_MAX;
+    for (std::size_t di = 0; di < scheds_.size(); ++di) {
+      const std::uint64_t e = scheds_[di].next_edge;
+      if (e > t) continue;
+      if (e < t) {
+        t = e;
+        firing_.clear();
+      }
+      firing_.push_back(di);
+    }
+    return t;
+  }
+  /// Re-arms the firing domains one period later.
+  void rearm_fired_edges() {
+    for (const std::size_t di : firing_)
+      scheds_[di].next_edge += scheds_[di].period;
+  }
   void commit_all(bool* changed);
   void settle_full_sweep();
   void settle_event();
@@ -695,12 +659,8 @@ class Simulator {
   ArenaVector<std::int32_t> seq_pool_;   ///< CSR register-decl storage
   std::uint64_t mark_epoch_ = 0;         ///< merge_reads() stamp epoch
 
-  // Tick-ordered edge scheduler state.  heap_ is a binary min-heap of
-  // domain indices ordered by (next_edge, index) — index as tiebreak so
-  // simultaneous edges pop in domain order, exactly like the linear
-  // scan it replaced.
+  // Edge scheduler state: one entry per domain, scanned per step.
   std::vector<DomainSched> scheds_;
-  std::vector<std::size_t> heap_;
   std::vector<std::size_t> firing_;  ///< domains firing at the current tick
 
   /// Per-domain dirty partition of the combinational settle: each

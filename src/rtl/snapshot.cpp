@@ -236,8 +236,6 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     tick_ = r.u64();
     cycle_ = r.u64();
     for (DomainSched& ds : scheds_) ds.next_edge = r.u64();
-    build_edge_heap();
-    firing_.clear();
     // Stats.
     stats_.steps = r.u64();
     stats_.settles = r.u64();

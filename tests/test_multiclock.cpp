@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
 #include "designs/design.hpp"
 #include "designs/saa2vga_triclk.hpp"
@@ -144,16 +145,30 @@ TEST(ClockDomainValidation, RejectsDomainAssignmentWhileBound) {
   top.cb.set_clock_domain(&top.b);  // restore
 }
 
-TEST(TickScheduler, HeapOrdersManyCoprimeDomains) {
-  // Five domains with pairwise-coprime-ish periods: the tick heap must
-  // produce exactly the merged edge trains, in order, with ties
-  // resolved as one event.  The reference sequence is computed the
-  // slow way here, in the test.
+TEST(TickScheduler, PhasedCoprimeDomainsFollowTheReferenceEdgeTrain) {
+  // Five domains with coprime periods and non-zero phases: the
+  // scheduler must produce exactly the merged edge trains, in order,
+  // with ties resolved as one event whose edges fire in ascending
+  // domain index.  The reference train is computed the slow way here,
+  // in the test, without the scheduler.
+  struct Logged : EdgeCounter {
+    Logged(Module* parent, std::string name, std::vector<std::size_t>* log,
+           std::size_t domain)
+        : EdgeCounter(parent, std::move(name)), log(log), domain(domain) {}
+    void on_clock() override {
+      EdgeCounter::on_clock();
+      log->push_back(domain);
+    }
+    std::vector<std::size_t>* log;
+    std::size_t domain;
+  };
   struct Top : Module {
-    ClockDomain d2{"d2", 2}, d3{"d3", 3}, d5{"d5", 5}, d7{"d7", 7},
-        d11{"d11", 11};
-    EdgeCounter c2{this, "c2"}, c3{this, "c3"}, c5{this, "c5"},
-        c7{this, "c7"}, c11{this, "c11"};
+    std::vector<std::size_t> log;  // domain of every on_clock(), in order
+    ClockDomain d2{"d2", 2, 1}, d3{"d3", 3}, d5{"d5", 5, 2},
+        d7{"d7", 7, 3}, d11{"d11", 11, 4};
+    Logged c2{this, "c2", &log, 0}, c3{this, "c3", &log, 1},
+        c5{this, "c5", &log, 2}, c7{this, "c7", &log, 3},
+        c11{this, "c11", &log, 4};
     Top() : Module(nullptr, "top") {
       set_clock_domain(&d2);
       c3.set_clock_domain(&d3);
@@ -164,29 +179,48 @@ TEST(TickScheduler, HeapOrdersManyCoprimeDomains) {
     void declare_state() override { declare_seq_state(); }
   } top;
   Simulator sim(top);
-  sim.reset();
   const std::uint64_t periods[] = {2, 3, 5, 7, 11};
+  const std::uint64_t phases[] = {1, 0, 2, 3, 4};
+  const char* names[] = {"d2", "d3", "d5", "d7", "d11"};
+  ASSERT_EQ(sim.domain_count(), 5u);
+  for (std::size_t di = 0; di < 5; ++di)
+    ASSERT_EQ(sim.domain_info(di).name, names[di]);
+  // Domain di has an edge at tick t iff t = phase + k*period, k >= 1.
+  auto fires = [&](std::size_t di, std::uint64_t t) {
+    return t > phases[di] && (t - phases[di]) % periods[di] == 0;
+  };
+  sim.reset();
   std::uint64_t expect_edges = 0;
+  std::uint64_t expect_domain[5] = {};
+  int ties = 0;
   std::uint64_t last = 0;
   for (int ev = 0; ev < 200; ++ev) {
-    // Reference: the next tick after `last` divisible by any period.
+    // Reference: the next tick after `last` at which any domain fires,
+    // and the firing domains in ascending index.
+    std::vector<std::size_t> want;
     std::uint64_t t = last + 1;
-    for (;; ++t) {
-      bool any = false;
-      for (const std::uint64_t p : periods) any |= (t % p == 0);
-      if (any) break;
-    }
-    for (const std::uint64_t p : periods) expect_edges += (t % p == 0);
+    for (; want.empty(); ++t)
+      for (std::size_t di = 0; di < 5; ++di)
+        if (fires(di, t)) want.push_back(di);
+    --t;
+    for (const std::size_t di : want) ++expect_domain[di];
+    expect_edges += want.size();
+    ties += want.size() > 1;
+    top.log.clear();
     sim.step();
     ASSERT_EQ(sim.now(), t) << "event " << ev;
+    ASSERT_EQ(top.log, want) << "event " << ev << " at tick " << t;
     last = t;
   }
+  EXPECT_GT(ties, 0);  // the phases still leave simultaneous edges
+  EXPECT_EQ(sim.cycle(), 200u);
   EXPECT_EQ(sim.stats().edges, expect_edges);
-  EXPECT_EQ(top.c2.value.read(), last / 2);
-  EXPECT_EQ(top.c3.value.read(), last / 3);
-  EXPECT_EQ(top.c5.value.read(), last / 5);
-  EXPECT_EQ(top.c7.value.read(), last / 7);
-  EXPECT_EQ(top.c11.value.read(), last / 11);
+  const Logged* counters[] = {&top.c2, &top.c3, &top.c5, &top.c7,
+                              &top.c11};
+  for (std::size_t di = 0; di < 5; ++di) {
+    EXPECT_EQ(sim.stats().domain_edges[di], expect_domain[di]) << di;
+    EXPECT_EQ(counters[di]->value.read(), expect_domain[di]) << di;
+  }
 }
 
 TEST(TickScheduler, PhaseOffsetsShiftEdges) {
@@ -628,12 +662,8 @@ void expect_triclk_design(const designs::Saa2VgaTriClkConfig& cfg,
       Simulator sim(*d, {.full_sweep = full_sweep});
       sim.open_vcd(path);
       sim.reset();
-      // finished() flips on a pixel-clock edge (the vga collects the
-      // last pixel strictly after the decoder and copy loop are done),
-      // so the domain-filtered run() can skip the predicate on
-      // cam/mem-only events.  Domain 0 is pix: the top inherits it.
       EXPECT_TRUE(
-          sim.run([&] { return d->finished(); }, kMaxCycles, 0).ok())
+          sim.run([&] { return d->finished(); }, kMaxCycles).ok())
           << sim.progress_report();
       out.cycles = sim.cycle();
       out.stats = sim.stats();
@@ -751,7 +781,7 @@ TEST(TriClkFarm, LanesAreLosslessAndShareThreeDomains) {
   // partitions, each carrying three lanes' worth of modules.
   ASSERT_EQ(sim.domain_count(), 3u);
   sim.reset();
-  ASSERT_TRUE(sim.run([&] { return d.finished(); }, kMaxCycles, 0).ok())
+  ASSERT_TRUE(sim.run([&] { return d.finished(); }, kMaxCycles).ok())
       << sim.progress_report();
   // Every lane is lossless and carries its own pattern (seed + lane):
   // a crossed wire between lanes would show up as the wrong content.

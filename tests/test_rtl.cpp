@@ -144,8 +144,7 @@ TEST(Simulator, CombLoopRaises) {
 
 TEST(Simulator, DeltaLimitIsConfigurable) {
   CombLoop top(nullptr);
-  Simulator sim(top);
-  sim.set_delta_limit(7);
+  Simulator sim(top, {.delta_limit = 7});
   try {
     sim.settle();
     FAIL() << "expected CombLoopError";

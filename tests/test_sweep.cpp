@@ -134,19 +134,6 @@ TEST(RunResult, LatchedFaultSurfacesAsFaultLatched) {
               RunResult::Timeout);
 }
 
-TEST(RunResult, DomainFilteredRunValidatesTheIndex) {
-  TickCounter top;
-  Simulator sim(top);
-  sim.reset();
-  try {
-    (void)sim.run([] { return false; }, 5, 7);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_THAT(e.what(), HasSubstr("domain index 7"));
-    EXPECT_THAT(e.what(), HasSubstr("out of range"));
-  }
-}
-
 // ---------------------------------------------------------------------
 // Options validation at elaboration
 // ---------------------------------------------------------------------

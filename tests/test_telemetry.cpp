@@ -129,7 +129,7 @@ TEST(Telemetry, TracerDoesNotPerturbTriClkFarm) {
       sim.open_vcd(path);
       sim.reset();
       EXPECT_TRUE(
-          sim.run([&] { return d.finished(); }, 2'000'000, 0).ok())
+          sim.run([&] { return d.finished(); }, 2'000'000).ok())
           << sim.progress_report();
       out.stats = sim.stats();
       if (traced) {
