@@ -111,22 +111,21 @@ void BM_Saa2VgaTriClk(benchmark::State& state) {
   state.counters["act_skips_per_edge"] = benchmark::Counter(
       static_cast<double>(stats.act_skips) /
       static_cast<double>(stats.edges));
-  // Fraction of (settle, partition) slots skipped as quiet subtrees —
-  // the per-domain settle partitioning at work (0 under full sweep,
-  // which has no partitioned dirty sets).
-  const double slots = static_cast<double>(stats.partition_settles +
-                                           stats.partition_skips);
-  state.counters["partition_skip_frac"] = benchmark::Counter(
-      slots == 0.0 ? 0.0
-                   : static_cast<double>(stats.partition_skips) / slots);
+  // Fraction of settles that found nothing dirty and evaluated no
+  // module (0 under full sweep, which has no dirty sets).
+  const double settles = static_cast<double>(stats.partition_settles +
+                                             stats.partition_skips);
+  state.counters["quiet_settle_frac"] = benchmark::Counter(
+      settles == 0.0 ? 0.0
+                     : static_cast<double>(stats.partition_skips) / settles);
 }
 
 /// Tri-clock capture farm: `lanes` independent camera→memory→pixel
-/// pipelines share the same three domains (three settle partitions,
-/// each lanes× as heavy).  range(0) = lanes.
+/// pipelines share the same three domains (each lanes× as heavy).
+/// range(0) = lanes.
 void BM_Saa2VgaTriClkFarm(benchmark::State& state) {
   // Aligned 1:1:1 periods: every event fires all three domains, so the
-  // post-edge settle has three dirty partitions.
+  // post-edge settle evaluates all three domains' fanout.
   const designs::Saa2VgaTriClkConfig cfg{.width = 32,
                                          .height = 24,
                                          .cdc_depth = 16,
@@ -158,7 +157,7 @@ void BM_Saa2VgaTriClkFarm(benchmark::State& state) {
       static_cast<double>(cycles) / static_cast<double>(state.iterations()));
   state.counters["evals_per_step"] = benchmark::Counter(
       static_cast<double>(stats.evals) / static_cast<double>(stats.steps));
-  state.counters["psettles_per_step"] = benchmark::Counter(
+  state.counters["busy_settles_per_step"] = benchmark::Counter(
       static_cast<double>(stats.partition_settles) /
       static_cast<double>(stats.steps));
 }
@@ -177,7 +176,7 @@ BENCHMARK(BM_Saa2VgaDualClk<true>)
     ->Args({3, 1});
 // Tri-clock: camera/memory/pixel periods; 5:2:3 is the pairwise-
 // coprime stress case for the edge scheduler (edges rarely coincide)
-// and the settle partitions.
+// and for domain locality.
 BENCHMARK(BM_Saa2VgaTriClk<false>)
     ->Name("saa2vga_triclk/event")
     ->Args({5, 2, 3})

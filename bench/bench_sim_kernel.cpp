@@ -122,7 +122,7 @@ void BM_VcdFlagship(benchmark::State& state) {
 // rollback; blob_bytes is the serialized checkpoint size.  Measured on
 // the flagship single-clock design and on the tri-clock capture farm
 // (three domains, three lanes, async-FIFO CDC) whose per-domain
-// scheduler and partition state makes restore do the most rebuilding.
+// scheduler state makes restore do the most rebuilding.
 
 std::unique_ptr<designs::VideoDesign> make_farm() {
   return designs::make_saa2vga_triclk({.width = 16,
@@ -207,7 +207,7 @@ void BM_Teardown(benchmark::State& state,
 }
 
 // Tri-clock capture-farm throughput (three domains, async-FIFO CDC):
-// the multi-partition workload for the before/after kernel-layout
+// the multi-domain workload for the before/after kernel-layout
 // comparison, alongside the single-clock flagship above.
 template <bool FullSweep>
 void BM_TriclkFarm(benchmark::State& state) {

@@ -30,10 +30,10 @@
 // the slack (2%, absorbing innocuous scheduling-order churn).  Doing
 // strictly *better* on those passes with a note — refresh the baselines
 // in the same PR to lock the win in.  The skip counters (seq_skips,
-// partition_skips, act_skips) must stay within the slack on BOTH
-// sides: a drop means a mechanism disengaged, a rise means the counter
-// miscounts (evals unchanged) or the baselines need a deliberate
-// refresh.
+// act_skips, and partition_skips — the quiet settles) must stay within
+// the slack on BOTH sides: a drop means a mechanism disengaged, a rise
+// means the counter miscounts (evals unchanged) or the baselines need
+// a deliberate refresh.
 #include <cctype>
 #include <cstdint>
 #include <fstream>
@@ -77,8 +77,8 @@ struct Counters {
   std::uint64_t seq_skips = 0;
   std::uint64_t edges = 0;      ///< domain edges (== cycles single-clock)
   std::uint64_t act_skips = 0;  ///< activation-list on_clock() skips
-  std::uint64_t partition_settles = 0;  ///< settled per-domain partitions
-  std::uint64_t partition_skips = 0;    ///< quiet partitions left untouched
+  std::uint64_t partition_settles = 0;  ///< settles that evaluated modules
+  std::uint64_t partition_skips = 0;    ///< quiet settles (no evals)
   std::vector<std::uint64_t> domain_edges;  ///< per domain, "domN" keys
 };
 
@@ -141,9 +141,9 @@ const Scenario kScenarios[] = {
            {.width = 24, .height = 18, .cdc_depth = 16, .frames = 2,
             .pix_period = 3, .mem_period = 7});
      }},
-    // Tri-clock CDC scenarios: three settle partitions chained through
-    // two async FIFOs — the partition_settles/partition_skips counters
-    // are the functional quantities here (quiet-subtree skipping).
+    // Tri-clock CDC scenarios: three clock domains chained through two
+    // async FIFOs — an edge of one domain must evaluate only its own
+    // fanout, which evals and the quiet-settle counters pin.
     {"saa2vga_triclk_5to2to3",
      [] {
        return designs::make_saa2vga_triclk(
@@ -156,7 +156,7 @@ const Scenario kScenarios[] = {
             .cam_period = 1, .mem_period = 1, .pix_period = 1});
      }},
     // Tri-clock capture FARM: three independent lanes sharing the same
-    // three domains, so each settle partition carries three lanes' work.
+    // three domains, so each domain carries three lanes' work.
     {"saa2vga_triclk_farm3",
      [] {
        return designs::make_saa2vga_triclk(
@@ -407,17 +407,17 @@ int check(const std::string& path) {
     }
     ok &= check_counter(name, "evals", c.evals, it->second.evals);
     ok &= check_counter(name, "commits", c.commits, it->second.commits);
-    // partition_settles gates the per-domain settle partitioning: a
-    // partition waking up spuriously (a stray cross-partition arc, a
-    // module landing in the wrong partition) shows up as more settled
-    // partitions per run even when evals stay inside their slack.
+    // partition_settles counts settles that evaluated something: a
+    // settle waking up spuriously (a stray fanout arc, a module
+    // re-dirtied for nothing) shows up as more of them per run even
+    // when evals stay inside their slack.
     ok &= check_counter(name, "partition_settles", c.partition_settles,
                         it->second.partition_settles);
-    // ...and partition_skips gates it from the other side: quiet
-    // subtrees must KEEP being skipped.
+    // ...and partition_skips counts quiet settles from the other side:
+    // settles with nothing dirty must KEEP evaluating nothing.
     ok &= check_skips(name, "partition_skips", c.partition_skips,
                       it->second.partition_skips,
-                      "per-domain settle partitioning partially disengaged");
+                      "quiet settles now evaluate modules");
     // act_skips gates the activation lists staying engaged: a module
     // leaking into every domain's list shows up as fewer skips.
     ok &= check_skips(name, "act_skips", c.act_skips, it->second.act_skips,

@@ -140,8 +140,8 @@ typedef struct hwpat_sim_stats {
   uint64_t seq_touches;       /* sequential modules marked by an edge */
   uint64_t seq_skips;         /* edge-insensitive modules skipped */
   uint64_t act_skips;         /* activation-list eval skips */
-  uint64_t partition_settles; /* per-partition settle passes */
-  uint64_t partition_skips;   /* partitions skipped as quiescent */
+  uint64_t partition_settles; /* settles that evaluated a module */
+  uint64_t partition_skips;   /* quiet settles: nothing to evaluate */
 } hwpat_sim_stats;
 
 /* Copies the deterministic work counters (struct_size-truncated). */
@@ -150,7 +150,7 @@ hwpat_status hwpat_sim_stats_get(const hwpat_sim* sim, hwpat_sim_stats* out);
 typedef struct hwpat_sim_memory_stats {
   size_t struct_size; /* set to sizeof(hwpat_sim_memory_stats) */
   /* Footprint of the per-simulator arena that owns the elaborated
-   * graph (SoA signal state, CSR fanout pools, partition worklists,
+   * graph (SoA signal state, CSR fanout pools, kernel worklists,
    * activation lists).  Deterministic for a given design + run, so
    * embedders can budget and chart it; teardown pays one free per
    * chunk regardless of design size. */

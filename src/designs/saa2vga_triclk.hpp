@@ -19,15 +19,14 @@
 // `!empty`) keeps the pipeline lossless at *any* ratio of the three
 // periods; the default 5:2:3 camera:memory:pixel ratio is pairwise
 // coprime, so edges almost never align — the stress case for the
-// edge scheduler and the per-domain settle partitions
-// (an edge of one clock leaves the other two domains' quiet subtrees
-// untouched: Stats::partition_skips > 0 is asserted in the tests and
-// gated in bench/baselines.json).
+// edge scheduler and for domain locality (an edge of one clock leaves
+// the other two domains' quiet subtrees unevaluated: the tests count
+// evaluations, and bench/baselines.json gates them).
 //
 // Saa2VgaTriClkConfig::lanes > 1 replicates the whole pipeline into a
 // capture *farm*: independent decoder→copy→vga lanes sharing the SAME
-// three clock domains (so still exactly three settle partitions, each
-// carrying `lanes`× the work) — the design-scaling axis
+// three clock domains (so still exactly three domains, each carrying
+// `lanes`× the work) — the design-scaling axis
 // bench_multiclock's farm rows chart.  lanes == 1 is the original
 // design, bit-identically (lane 0 keeps all legacy names).
 #pragma once

@@ -2,7 +2,6 @@
 
 #include "common/error.hpp"
 #include "meta/spec.hpp"
-#include "meta/sweep_grid.hpp"
 
 namespace hwpat::designs {
 
@@ -31,11 +30,23 @@ std::string device_token(DeviceKind d) {
   }
 }
 
-DeviceKind parse_device(const std::string& s) {
-  if (s == "fifo") return DeviceKind::FifoCore;
-  if (s == "sram") return DeviceKind::Sram;
-  throw SpecError("sweep grid: axis 'device' value '" + s +
-                  "' is not a device token (fifo|sram)");
+std::string value_token(int v) { return std::to_string(v); }
+std::string value_token(const std::string& v) { return v; }
+std::string value_token(DeviceKind d) { return device_token(d); }
+
+/// The eager grid check every *_sweep() factory runs before building a
+/// job: an axis must have values and must not repeat one.  Messages
+/// name the axis.
+template <typename T>
+void check_axis(const std::vector<T>& values, const char* axis) {
+  if (values.empty())
+    throw SpecError(std::string("sweep grid: axis '") + axis +
+                    "' has no values");
+  for (std::size_t i = 0; i < values.size(); ++i)
+    for (std::size_t j = 0; j < i; ++j)
+      if (values[i] == values[j])
+        throw SpecError(std::string("sweep grid: axis '") + axis +
+                        "' repeats value '" + value_token(values[i]) + "'");
 }
 
 /// Mirrors saa2vga_pattern.cpp's read-side buffer spec so the grid can
@@ -56,59 +67,55 @@ void validate_buffer(const Saa2VgaConfig& cfg) {
                     std::to_string(cfg.height) + " is not positive");
 }
 
-std::vector<std::string> int_axis_values(const std::vector<int>& v) {
-  std::vector<std::string> out;
-  out.reserve(v.size());
-  for (int x : v) out.push_back(std::to_string(x));
-  return out;
-}
-
 }  // namespace
 
 bool video_design_finished(const rtl::Module& top) {
   return static_cast<const VideoDesign&>(top).finished();
 }
 
-std::vector<rtl::SweepJob> saa2vga_sweep(const Saa2VgaSweepGrid& grid) {
-  std::vector<std::string> dev_tokens;
-  dev_tokens.reserve(grid.devices.size());
-  for (DeviceKind d : grid.devices) dev_tokens.push_back(device_token(d));
-  const std::vector<meta::SweepAxis> axes = {
-      {"width", int_axis_values(grid.widths)},
-      {"depth", int_axis_values(grid.depths)},
-      {"device", dev_tokens},
-  };
-  std::vector<rtl::SweepJob> jobs;
-  for (const meta::SweepPoint& p : meta::enumerate_grid(axes)) {
-    Saa2VgaConfig cfg;
-    cfg.width = parse_int(p.at(axes, "width"), "width");
-    cfg.height = cfg.width * 3 / 4;
-    cfg.buffer_depth = parse_int(p.at(axes, "depth"), "depth");
-    cfg.device = parse_device(p.at(axes, "device"));
-    cfg.frames = grid.frames;
-    cfg.pattern_seed = grid.pattern_seed;
-    validate_buffer(cfg);
+// Both factories expand their axes row-major, last axis fastest: job
+// order (and so result order) is part of the contract.
 
-    rtl::SweepJob job;
-    job.name = "saa2vga_w" + std::to_string(cfg.width) + "_h" +
-               std::to_string(cfg.height) + "_d" +
-               std::to_string(cfg.buffer_depth) + "_" +
-               p.at(axes, "device");
-    job.build = [cfg] { return make_saa2vga_pattern(cfg); };
-    job.done = video_design_finished;
-    jobs.push_back(std::move(job));
+std::vector<rtl::SweepJob> saa2vga_sweep(const Saa2VgaSweepGrid& grid) {
+  check_axis(grid.widths, "width");
+  check_axis(grid.depths, "depth");
+  check_axis(grid.devices, "device");
+  std::vector<rtl::SweepJob> jobs;
+  for (const int width : grid.widths) {
+    for (const int depth : grid.depths) {
+      for (const DeviceKind device : grid.devices) {
+        Saa2VgaConfig cfg;
+        cfg.width = width;
+        cfg.height = width * 3 / 4;
+        cfg.buffer_depth = depth;
+        cfg.device = device;
+        cfg.frames = grid.frames;
+        cfg.pattern_seed = grid.pattern_seed;
+        validate_buffer(cfg);
+
+        rtl::SweepJob job;
+        job.name = "saa2vga_w" + std::to_string(cfg.width) + "_h" +
+                   std::to_string(cfg.height) + "_d" +
+                   std::to_string(cfg.buffer_depth) + "_" +
+                   device_token(device);
+        job.build = [cfg] { return make_saa2vga_pattern(cfg); };
+        job.done = video_design_finished;
+        jobs.push_back(std::move(job));
+      }
+    }
   }
   return jobs;
 }
 
 std::vector<rtl::SweepJob> saa2vga_triclk_sweep(const TriClkSweepGrid& grid) {
-  const std::vector<meta::SweepAxis> axes = {
-      {"ratio", grid.ratios},
-      {"lanes", int_axis_values(grid.lanes)},
-  };
+  check_axis(grid.ratios, "ratio");
+  check_axis(grid.lanes, "lanes");
+  for (const int lanes : grid.lanes)
+    if (lanes <= 0)
+      throw SpecError("sweep grid: axis 'lanes' value '" +
+                      std::to_string(lanes) + "' must be positive");
   std::vector<rtl::SweepJob> jobs;
-  for (const meta::SweepPoint& p : meta::enumerate_grid(axes)) {
-    const std::string& ratio = p.at(axes, "ratio");
+  for (const std::string& ratio : grid.ratios) {
     const std::size_t x1 = ratio.find('x');
     const std::size_t x2 =
         x1 == std::string::npos ? std::string::npos : ratio.find('x', x1 + 1);
@@ -122,20 +129,18 @@ std::vector<rtl::SweepJob> saa2vga_triclk_sweep(const TriClkSweepGrid& grid) {
     if (cfg.cam_period <= 0 || cfg.mem_period <= 0 || cfg.pix_period <= 0)
       throw SpecError("sweep grid: axis 'ratio' value '" + ratio +
                       "' has a non-positive period");
-    cfg.lanes = parse_int(p.at(axes, "lanes"), "lanes");
-    if (cfg.lanes <= 0)
-      throw SpecError("sweep grid: axis 'lanes' value '" +
-                      p.at(axes, "lanes") + "' must be positive");
     cfg.width = grid.width;
     cfg.height = grid.height;
     cfg.frames = grid.frames;
     cfg.pattern_seed = grid.pattern_seed;
-
-    rtl::SweepJob job;
-    job.name = "triclk_" + ratio + "_l" + p.at(axes, "lanes");
-    job.build = [cfg] { return make_saa2vga_triclk(cfg); };
-    job.done = video_design_finished;
-    jobs.push_back(std::move(job));
+    for (const int lanes : grid.lanes) {
+      cfg.lanes = lanes;
+      rtl::SweepJob job;
+      job.name = "triclk_" + ratio + "_l" + std::to_string(lanes);
+      job.build = [cfg] { return make_saa2vga_triclk(cfg); };
+      job.done = video_design_finished;
+      jobs.push_back(std::move(job));
+    }
   }
   return jobs;
 }

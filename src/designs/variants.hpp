@@ -1,15 +1,17 @@
 // Parameterized sweep grids over the reference designs.
 //
-// This is the glue between the metamodel layer (meta/sweep_grid.hpp:
-// cartesian axis expansion) and the batch service (rtl/sweep.hpp): each
-// grid struct names the axes a design family exposes, and the
-// *_sweep() factories expand them into ready-to-run rtl::SweepJob
-// lists — one job per variant, each with a pure build factory, a
+// This is the glue between the design families and the batch service
+// (rtl/sweep.hpp): each grid struct names the typed axes a design
+// family exposes, and the *_sweep() factories expand their cartesian
+// product (row-major, last axis fastest — job order is part of the
+// contract) into ready-to-run rtl::SweepJob lists — one job per
+// variant, each with a pure build factory, a
 // finished() predicate, and a label like "saa2vga_w32_h24_d512_fifo"
 // or "triclk_5x2x3_l2".
 //
-// Every variant's container spec is validated eagerly (meta::validate,
-// SpecError naming the field) while the job list is built, so a
+// Every axis (non-empty, no repeated value) and every variant's
+// container spec (meta::validate) is checked eagerly, with a SpecError
+// naming the axis or field, while the job list is built, so a
 // malformed grid fails before any simulator is elaborated — the same
 // fail-at-elaboration discipline the rest of the metamodel follows.
 #pragma once
@@ -44,15 +46,15 @@ struct TriClkSweepGrid {
   unsigned pattern_seed = 1;
 };
 
-/// Expands the grid (widths × depths × devices, via
-/// meta::enumerate_grid) into one SweepJob per variant.  Throws
-/// SpecError on invalid dimensions/depths or an empty axis.
+/// Expands the grid (widths × depths × devices) into one SweepJob per
+/// variant.  Throws SpecError on invalid dimensions/depths, an empty
+/// axis or a repeated axis value.
 [[nodiscard]] std::vector<rtl::SweepJob> saa2vga_sweep(
     const Saa2VgaSweepGrid& grid);
 
 /// Expands ratios × lanes into tri-clock SweepJobs.  Throws SpecError
 /// on a malformed ratio string ("<cam>x<mem>x<pix>", all positive), a
-/// non-positive lane count, or an empty axis.
+/// non-positive lane count, an empty axis or a repeated axis value.
 [[nodiscard]] std::vector<rtl::SweepJob> saa2vga_triclk_sweep(
     const TriClkSweepGrid& grid);
 

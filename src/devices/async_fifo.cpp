@@ -194,7 +194,7 @@ AsyncFifo::AsyncFifo(Module* parent, std::string name, AsyncFifoConfig cfg,
   // The gray pointers are the declared clock-domain-crossing points:
   // each is written in one side's domain and sampled by the *other*
   // side's 2-flop synchronizer — the only register signals the CDC-arc
-  // contract (src/rtl/README.md) allows to cross a settle partition.
+  // contract (src/rtl/README.md) allows to cross a clock domain.
   wptr_gray_.mark_cdc_cross();
   rptr_gray_.mark_cdc_cross();
   wr_ = std::make_unique<WriteSide>(this);

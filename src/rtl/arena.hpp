@@ -1,6 +1,6 @@
 // Per-simulator arena: a chunked bump allocator that owns every byte of
 // the elaborated graph's kernel-side storage — the SoA hot-state arrays,
-// the CSR fanout pool, the partition work/pending lists and the
+// the CSR fanout pool, the dirty worklist, the pending list and the
 // per-domain activation lists (see simulator.hpp).  Allocation only
 // moves a cursor; deallocation is a no-op; destruction walks the chunk
 // chain and frees it whole, so tearing a simulator down costs a handful
@@ -121,7 +121,7 @@ class Arena {
 };
 
 /// Minimal std allocator over an Arena, for the kernel's long-lived
-/// containers (CSR pool, partition lists, activation lists).
+/// containers (CSR pool, kernel worklists, activation lists).
 /// deallocate() is a no-op: a container that regrows abandons its old
 /// block in the arena, bounded by the usual geometric doubling, and the
 /// whole footprint dies with the arena.  Two allocators compare equal

@@ -120,9 +120,10 @@ class Module {
   /// True when this module declared it has no sequential process
   /// (declare_comb_only()).  Meaningful while bound to a Simulator.
   [[nodiscard]] bool comb_only() const { return no_clock_; }
-  /// Domain-affinity partition resolved by the binding Simulator
-  /// (indexed like Simulator::domain_info(); the effective clock
-  /// domain after inheritance).  -1 while unbound.
+  /// Index of the effective clock domain (after inheritance) resolved
+  /// by the binding Simulator, indexed like Simulator::domain_info().
+  /// A design fact hashed into topology_hash(); scheduling does not
+  /// read it.  -1 while unbound.
   [[nodiscard]] int partition() const { return part_; }
   /// Register signals declared via register_seq(); empty while unbound.
   [[nodiscard]] const std::vector<SignalBase*>& seq_signals() const {
@@ -190,13 +191,11 @@ class Module {
   bool clock_check_ = false;  ///< wants the on_clock_check() phase
 
   // --- state owned by the binding Simulator (see simulator.cpp) ---
-  // The dirty-worklist flag and partition routing that used to live
-  // here are now dense SoA arrays on the Simulator, indexed by sim_id_
-  // (src/rtl/README.md, "Kernel memory layout").
-  int sim_id_ = -1;          ///< dense id in elaboration order, -1 = unbound
-  std::int16_t part_ = -1;   ///< domain-affinity partition, -1 = unbound
-                             ///< (mirror of the simulator's dense array,
-                             ///< kept for partition() and topology hash)
+  // The dirty-worklist flag lives in a dense SoA array on the
+  // Simulator, indexed by sim_id_ (src/rtl/README.md, "Kernel memory
+  // layout").
+  int sim_id_ = -1;  ///< dense id in elaboration order, -1 = unbound
+  int part_ = -1;    ///< effective domain index (partition()), -1 = unbound
   bool seq_declared_ = false;  ///< declare_state() made a declaration
   bool no_clock_ = false;      ///< declare_comb_only(): no on_clock()
   bool seq_touched_ = false;   ///< on the simulator's touched list

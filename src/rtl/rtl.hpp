@@ -20,7 +20,7 @@
 // a replaced API keeps a documented shim for one PR before removal.
 // (The run_until() shims, deprecated last PR in favour of
 // Simulator::run(), are gone as of this one.)
-// Headers NOT included here (module internals, the settle-partition
+// Headers NOT included here (module internals, the settle worklist
 // machinery, StateWriter/StateReader codec details beyond what Module
 // hooks need) may change shape between PRs without notice.
 //

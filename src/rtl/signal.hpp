@@ -13,13 +13,13 @@
 // curp_/nxtp_ pointers are rebound into those arrays, so read()/write()
 // are unchanged while the simulator's commit and VCD loops stream
 // through contiguous memory instead of chasing heap objects.  All other
-// per-signal kernel state (pending flag, partition, fanout CSR spans,
-// trace stamps) lives in simulator-owned arrays indexed by the dense
+// per-signal kernel state (pending flag, fanout CSR spans, trace
+// stamps) lives in simulator-owned arrays indexed by the dense
 // signal id; the signal itself carries only the two pointers the write
 // fast path needs (pend_flag_, queue_) plus the id.
 //
 // Event-driven hooks: once a Simulator binds the design, every write()
-// enqueues the signal's id on its partition's pending-commit list, and
+// enqueues the signal's id on the simulator's pending-commit list, and
 // every read() that happens inside a traced eval_comb() is recorded so
 // the simulator can learn which modules are sensitive to which signals.
 // Unbound signals (no simulator, or the full-sweep reference mode)
@@ -102,10 +102,11 @@ class SignalBase {
   /// -1 while unbound.  Indexes every simulator-owned SoA array.
   [[nodiscard]] int id() const { return id_; }
 
-  /// Domain-affinity partition assigned by the binding Simulator
-  /// (indexed like Simulator::domain_info()): the writer's partition
-  /// for declared register signals, the owning module's partition
-  /// otherwise.  -1 while unbound.
+  /// Clock-domain index assigned by the binding Simulator (indexed like
+  /// Simulator::domain_info()): the writer's domain for declared
+  /// register signals, the owning module's domain otherwise.  A design
+  /// fact hashed into topology_hash(); scheduling does not read it.
+  /// -1 while unbound.
   [[nodiscard]] int partition() const { return part_; }
 
   /// Declares this signal as a sanctioned clock-domain-crossing point
@@ -113,7 +114,8 @@ class SignalBase {
   /// synchronizer).  Part of the design, not of a simulator binding:
   /// call it at construction, like wiring.  The CDC-arc contract
   /// (src/rtl/README.md) is that marked signals are the *only* register
-  /// signals read across partitions.
+  /// signals read across domains; it is hashed and tested, and does
+  /// not steer scheduling.
   void mark_cdc_cross() { cdc_cross_ = true; }
   [[nodiscard]] bool cdc_cross() const { return cdc_cross_; }
 
@@ -156,10 +158,9 @@ class SignalBase {
 
  protected:
   /// Called by Signal<T>::write(): schedules this signal's id for
-  /// commit on the writer's pending-commit list (at most once until
-  /// drained; the pending flag lives in the simulator's dense array,
-  /// reached through pend_flag_).  The list is the signal's partition's
-  /// pending list, resolved at elaboration (queue_).
+  /// commit on the simulator's pending-commit list (queue_, resolved at
+  /// elaboration), at most once until drained; the pending flag lives
+  /// in the simulator's dense array, reached through pend_flag_.
   void note_write() {
     if (queue_ != nullptr && pend_flag_ != nullptr && *pend_flag_ == 0) {
       *pend_flag_ = 1;
@@ -188,15 +189,13 @@ class SignalBase {
   // Everything else the kernel tracks per signal — pending/vcd flags,
   // trace stamps, fanout spans, value storage for Word/bool signals —
   // lives in the Simulator's dense arrays, indexed by id_.
-  int id_ = -1;             ///< dense id, -1 = unbound
-  std::int16_t part_ = -1;  ///< domain-affinity partition (mirror of the
-                            ///< simulator's dense array, kept for the
-                            ///< partition() accessor and topology hash)
+  int id_ = -1;    ///< dense id, -1 = unbound
+  int part_ = -1;  ///< domain index (partition()), -1 = unbound
   /// The signal's cell in the simulator's dense pending-flag array —
   /// fused into the write fast path so note_write() touches the SoA
   /// flag directly instead of an object field.  nullptr while unbound.
   unsigned char* pend_flag_ = nullptr;
-  /// Pending-commit list of the signal's partition (ids).
+  /// The binding simulator's pending-commit list (ids).
   ArenaVector<std::int32_t>* queue_ = nullptr;
 
   /// Active trace, if any.  thread_local so simulators over disjoint

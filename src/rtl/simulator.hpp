@@ -28,17 +28,13 @@
 // tests/test_sim_kernel.cpp and tests/test_multiclock.cpp prove it
 // differentially):
 //
-//  * event-driven (default): write() enqueues signal ids on the
-//    writer's *per-partition* pending-commit list; settle() drains
-//    per-domain dirty-module worklists seeded from the fanout of
-//    committed signals.  Both the worklists and the pending lists are
-//    *partitioned by clock domain* (every module and signal carries a
-//    domain-affinity partition resolved at elaboration): a settle
-//    visits only the partitions reachable from the firing domains'
-//    dirty sets, so an edge in one domain leaves another domain's quiet
-//    subtree entirely untouched (Stats::partition_settles /
-//    partition_skips account for it; semantics are unchanged because
-//    the per-delta eval set is the same, merely bucketed).  Module
+//  * event-driven (default): write() enqueues signal ids on one
+//    pending-commit list; settle() drains one dirty-module worklist
+//    seeded from the fanout of committed signals.  Domain locality
+//    falls out of the fanout: an edge in one domain dirties only what
+//    its committed registers feed, so another domain's quiet subtree
+//    is never evaluated (Stats::partition_settles / partition_skips
+//    count settles that evaluated something and quiet ones).  Module
 //    sensitivity is discovered dynamically by tracing which signals
 //    each eval_comb() reads (starting with an instrumented elaboration
 //    settle and kept up to date on every evaluation, so data-dependent
@@ -61,15 +57,15 @@
 // Kernel memory layout (the data-oriented refactor; see
 // src/rtl/README.md): all hot per-signal and per-module kernel state —
 // committed/next values of Word and bool signals, pending/dirty flags,
-// SigKind tags, partition ids, trace stamps — lives in dense SoA arrays
+// SigKind tags, trace stamps — lives in dense SoA arrays
 // owned by this class and indexed by the dense signal/module ids, so
 // the settle and commit loops stream contiguous memory instead of
 // chasing heap objects.  The learned fanout (signal -> reader modules)
 // and the accumulated per-module read sets are CSR-style spans
 // ([begin,count,cap) per id) into two shared pools, deduplicated with a
 // seen-stamp instead of a linear find.  Everything the elaboration
-// builds — the SoA arrays, both CSR pools, the partition work/pending
-// lists, the per-domain activation lists — is allocated from a
+// builds — the SoA arrays, both CSR pools, the dirty worklist and the
+// pending list, the per-domain activation lists — is allocated from a
 // per-simulator bump arena (rtl/arena.hpp): teardown frees a handful of
 // chunks no matter the design size, and a fresh simulator (a
 // SweepDriver job, a run_forked() branch) pays no per-node heap traffic
@@ -177,15 +173,12 @@ class Simulator {
     /// firing domain's activation list — the per-edge O(all-modules)
     /// loop the activation lists eliminated.  Stays 0 single-domain.
     std::uint64_t act_skips = 0;
-    /// Per-domain dirty partitions actually settled: one count per
-    /// (settle, partition-with-dirty-modules) pair in the event kernel.
-    /// Full-sweep keeps it at 0 (it has no dirty sets to partition).
+    /// Event-kernel settles that evaluated at least one module (the
+    /// name predates the single worklist).  Full-sweep keeps it at 0.
     std::uint64_t partition_settles = 0;
-    /// Partitions left untouched by a settle because nothing reachable
-    /// from the firing domains' dirty sets lives there — the quiet
-    /// subtrees the per-domain partitioning exists to skip.  Stays low
-    /// single-domain (only fully quiet settles count); grows with
-    /// domain count.  Full-sweep keeps it at 0.
+    /// Quiet event-kernel settles: nothing was dirty after the pending
+    /// commits drained, so no module was evaluated.  Full-sweep keeps
+    /// it at 0.
     std::uint64_t partition_skips = 0;
     /// Edges executed per domain, indexed like domain_info().
     std::vector<std::uint64_t> domain_edges;
@@ -203,7 +196,7 @@ class Simulator {
   };
 
   /// Footprint of the per-simulator arena that owns the elaborated
-  /// graph (SoA arrays, CSR pools, partition lists, activation lists).
+  /// graph (SoA arrays, CSR pools, kernel lists, activation lists).
   /// Deterministic for a given design + run, so benches can chart it.
   struct MemoryStats {
     std::size_t arena_bytes_used = 0;      ///< bytes handed out
@@ -395,8 +388,8 @@ class Simulator {
   void build_soa();
   /// Resolves every module's effective domain (nearest ancestor with an
   /// explicit assignment, else the built-in default), builds the
-  /// per-domain activation lists, and stamps every module's
-  /// domain-affinity partition.  Part of bind().
+  /// per-domain activation lists, and records each module's domain
+  /// index as Module::partition().  Part of bind().
   void build_domains();
   std::size_t sched_index_for(const ClockDomain* d);
   /// Scans the domains for the soonest next edge, collects every domain
@@ -425,13 +418,9 @@ class Simulator {
   void commit_all(bool* changed);
   void settle_full_sweep();
   void settle_event();
-  /// Commits every signal on every partition's pending list (ascending
-  /// partition order); fanout modules of signals whose value changed
-  /// are pushed onto their partition's dirty worklist.
+  /// Commits every signal on the pending list; fanout modules of
+  /// signals whose value changed are pushed onto the dirty worklist.
   void commit_pending();
-  /// One partition's share of commit_pending().
-  struct Partition;
-  void drain_pending(Partition& part);
 
   // ---- dense-id kernel primitives (SoA hot paths) -------------------
 
@@ -506,16 +495,8 @@ class Simulator {
   void mark_module_dirty(std::int32_t mid) {
     if (mod_dirty_[mid] != 0) return;
     mod_dirty_[mid] = 1;
-    const std::size_t pi = static_cast<std::size_t>(mod_part_[mid]);
-    Partition& p = parts_[pi];
-    p.worklist.push_back(mid);
-    if (!single_part_ && !p.queued) {
-      p.queued = true;
-      dirty_parts_.push_back(pi);
-    }
+    worklist_.push_back(mid);
   }
-  /// Modules currently on a dirty worklist, summed over partitions.
-  [[nodiscard]] std::size_t dirty_module_count() const;
   /// Runs one clock-edge event's module work *transactionally* — shared
   /// by both kernels so their Stats can never desynchronize:
   ///   1. validate phase: on_clock_check() of every firing checker,
@@ -537,25 +518,17 @@ class Simulator {
   /// rethrowing.
   void clock_edge_event();
   /// Rolls back the bufferable side effects of an aborted clock-edge
-  /// event: drains every partition's pending list (discarding the
-  /// written next-values) and the touched-module list.  The lists held
-  /// only this event's entries — fire_edges() runs straight after a
-  /// settle, which leaves them empty.
+  /// event: drains the pending list (discarding the written
+  /// next-values) and the touched-module list.  The lists held only
+  /// this event's entries — fire_edges() runs straight after a settle,
+  /// which leaves them empty.
   void abort_edge_event();
   /// Verifies that a declared module's on_clock() only wrote registered
-  /// signals — the entries its call appended beyond pend_mark_ on any
-  /// partition's pending list; throws ProtocolError if not.  The
-  /// registered set is the module's seq CSR span (built at bind from
-  /// the register_seq() declarations).
-  void check_seq_writes(const Module* m) const;
-  /// One-list body of check_seq_writes: entries pending[first..] must
-  /// all be in m's register declaration span.
-  void check_seq_writes_in(const Module* m,
-                           const ArenaVector<std::int32_t>& pending,
-                           std::size_t first) const;
-  /// Snapshots every partition's pending-list size into pend_mark_
-  /// (the per-module baseline for check_seq_writes).
-  void record_pend_marks();
+  /// signals — the pending-list entries from index `first` on, which
+  /// its call appended; throws ProtocolError if not.  The registered
+  /// set is the module's seq CSR span (built at bind from the
+  /// register_seq() declarations).
+  void check_seq_writes(const Module* m, std::size_t first) const;
   void mark_vcd_change(std::int32_t sid) {
     // sig_vcdmark_: 0 = clean, 1 = on vcd_changed_, 2 = never sampled
     // (width <= 0 testbench signals) — one branch covers both skips.
@@ -626,7 +599,6 @@ class Simulator {
   unsigned char* sig_kind_ = nullptr;     ///< SigKind tag
   unsigned char* sig_pending_ = nullptr;  ///< on a pending-commit list
   unsigned char* sig_vcdmark_ = nullptr;  ///< 0 clean / 1 listed / 2 never
-  std::int16_t* sig_part_ = nullptr;      ///< domain-affinity partition
   std::uint32_t* sig_slot_ = nullptr;     ///< index into the value arrays
   std::uint64_t* sig_stamp_ = nullptr;    ///< ReadTracer dedup stamps
   std::uint64_t* sig_mark_ = nullptr;     ///< merge_reads() seen-stamps
@@ -647,8 +619,7 @@ class Simulator {
   std::uint32_t* sens_count_ = nullptr;
   std::uint32_t* sens_cap_ = nullptr;
   // Per-module arrays, length modules_.size():
-  unsigned char* mod_dirty_ = nullptr;  ///< on a dirty worklist
-  std::int16_t* mod_part_ = nullptr;    ///< domain-affinity partition
+  unsigned char* mod_dirty_ = nullptr;  ///< on the dirty worklist
   std::uint64_t* mod_mark_ = nullptr;   ///< restore-time dup detection
   // Per-module register-signal declarations as a CSR over signal ids
   // (the check_seq_writes membership scan).
@@ -663,41 +634,18 @@ class Simulator {
   std::vector<DomainSched> scheds_;
   std::vector<std::size_t> firing_;  ///< domains firing at the current tick
 
-  /// Per-domain dirty partition of the combinational settle: each
-  /// domain's modules form one partition (Module::partition()), with a
-  /// worklist of its own.  A settle drains only partitions reachable
-  /// from the firing domains' dirty sets — cross-partition fanout arcs
-  /// (the async-FIFO CDC boundary, by the contract in README.md) wake a
-  /// foreign partition; everything else leaves it untouched.  Both
-  /// lists hold dense ids and live in the arena.
-  struct Partition {
-    explicit Partition(Arena* a)
-        : worklist(ArenaAlloc<std::int32_t>(a)),
-          pending(ArenaAlloc<std::int32_t>(a)) {}
-
-    ArenaVector<std::int32_t> worklist;  ///< dirty module ids, next delta
-    /// Signal ids awaiting commit in this partition — Signal::write()
-    /// enqueues on the signal's own partition (resolved at elaboration
-    /// into SignalBase::queue_).
-    ArenaVector<std::int32_t> pending;
-    bool queued = false;            ///< on dirty_parts_
-    std::uint64_t settle_seen = 0;  ///< last settle_seq_ that touched it
-  };
-  std::vector<Partition> parts_;           ///< indexed like scheds_
-  std::vector<std::size_t> dirty_parts_;   ///< partitions with dirty modules
-  std::vector<std::size_t> active_parts_;  ///< partitions in this delta
-  std::uint64_t settle_seq_ = 0;           ///< unique id per settle_event()
-  bool single_part_ = true;  ///< one partition: skip bucketing bookkeeping
-
   /// Telemetry (trace_start/trace_stop).  telem_ aliases telem_owned_
   /// so the hot-path hooks test one raw pointer; nullptr = tracing off.
   std::unique_ptr<Tracer> telem_owned_;
   Tracer* telem_ = nullptr;
 
   // Event-driven kernel state.
+  ArenaVector<std::int32_t> worklist_;    ///< dirty module ids, next delta
   ArenaVector<std::int32_t> eval_list_;   ///< dirty module ids, this delta
+  /// Signal ids awaiting commit — Signal::write() enqueues here through
+  /// SignalBase::queue_.
+  ArenaVector<std::int32_t> pending_;
   std::vector<Module*> touched_;          ///< seq_touch() reporters, this edge
-  std::vector<std::size_t> pend_mark_;    ///< pending sizes, contract check
   ReadTracer tracer_;
   std::uint64_t eval_stamp_ = 0;          ///< unique id per traced eval
   ArenaVector<std::int32_t> vcd_changed_;  ///< ids changed since last sample

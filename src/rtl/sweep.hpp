@@ -118,7 +118,7 @@ struct SweepResult {
   /// Measured-phase telemetry, aggregated from the run's Tracer when
   /// SweepOptions::trace is on (all zero otherwise).
   struct Telemetry {
-    std::uint64_t spans = 0;      ///< spans retained in the rings
+    std::uint64_t spans = 0;      ///< spans retained in the job's ring
     std::uint64_t dropped = 0;    ///< spans evicted by ring wrap
     std::uint64_t settle_ns = 0;  ///< cumulative settle() wall time
     std::uint64_t edge_ns = 0;    ///< cumulative clock-edge-event time

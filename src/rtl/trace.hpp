@@ -11,8 +11,8 @@
 // Two instruments, both off unless Simulator::trace_start() is called:
 //
 //  * Phase spans — one timed interval per kernel phase occurrence
-//    (clock-edge event, settle, per-partition drain, pending-commit
-//    drain, snapshot save/restore, reset, sweep job), recorded into a
+//    (clock-edge event, settle, pending-commit drain, snapshot
+//    save/restore, reset, sweep job), recorded into a
 //    *bounded ring buffer*.  A simulator runs on one thread, so the
 //    recorder needs no locking.  When the ring wraps, the oldest spans
 //    are dropped and counted (dropped()) — telemetry must never grow
@@ -41,20 +41,19 @@
 namespace hwpat::rtl {
 
 /// Kernel phases a span can cover.  `arg` in TraceSpan is
-/// phase-specific: the event tick for EdgeEvent, the partition index
-/// for PartitionSettle/CommitDrain, the blob size for snapshots, the
-/// job index for SweepJob.
+/// phase-specific: the event tick for EdgeEvent and Settle, the number
+/// of signals drained for CommitDrain, the blob size for snapshots,
+/// the job index for SweepJob.
 enum class TracePhase : unsigned char {
-  EdgeEvent,        ///< validate + mutate + post-edge marking of one event
-  Settle,           ///< one settle() fixpoint search
-  PartitionSettle,  ///< one partition drained for one delta
-  CommitDrain,      ///< one partition's pending-commit drain
+  EdgeEvent,    ///< validate + mutate + post-edge marking of one event
+  Settle,       ///< one settle() fixpoint search
+  CommitDrain,  ///< one non-empty pending-commit drain
   SnapshotSave,
   SnapshotRestore,
   Reset,
   SweepJob,  ///< one SweepDriver measured phase
 };
-inline constexpr std::size_t kTracePhaseCount = 8;
+inline constexpr std::size_t kTracePhaseCount = 7;
 
 [[nodiscard]] const char* to_string(TracePhase p);
 

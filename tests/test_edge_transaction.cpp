@@ -159,7 +159,7 @@ TEST(EdgeTransaction, ResetAfterAbortedEventClearsSchedulerState) {
   sim.reset();
   d.rd_en.write(true);
   EXPECT_THROW(sim.step(3), ProtocolError);
-  // reset() must clear every partition's pending list (the unwound
+  // reset() must clear the pending list (the unwound
   // event's writes); a fresh run must then be byte-equal in counters
   // to a never-threw fresh run.
   sim.reset();
@@ -266,8 +266,8 @@ TEST(EdgeTransaction, ContractViolationWritesNeverLeakIntoNextSettle) {
 /// A throw from eval_comb() mid-settle must not strand the settle's
 /// scratch list: after the documented reset() recovery, stepping on has
 /// to match a run that never threw exactly (a stranded list swapped
-/// into a later partition's worklist would double-evaluate its
-/// modules there).
+/// into a later delta's worklist would double-evaluate its modules
+/// there).
 TEST(EdgeTransaction, EvalThrowMidSettleRecoversAfterReset) {
   struct Inc : Module {  // comb: out = a + 1, may be armed to throw
     const Bus& a;
@@ -296,8 +296,8 @@ TEST(EdgeTransaction, EvalThrowMidSettleRecoversAfterReset) {
     Inc ia2{this, "ia2", a1, a2, never};
     Inc ia3{this, "ia3", a2, a3, never};
     Inc ib1{this, "ib1", cb, b1, never};
-    // The bomb sits in the SECOND partition, so the throw abandons a
-    // multi-partition delta half-way through.
+    // The bomb sits in the second domain's chain, so the throw abandons
+    // a delta that also evaluates domain a's chain half-way through.
     Inc ib2{this, "ib2", b1, b2, armed};
     Top() : Module(nullptr, "bombtop") {
       set_clock_domain(&da);
@@ -311,7 +311,7 @@ TEST(EdgeTransaction, EvalThrowMidSettleRecoversAfterReset) {
     Top d;
     Simulator sim(d);
     sim.reset();
-    sim.step(3);  // both domains fire every tick: two-partition deltas
+    sim.step(3);  // both domains fire every tick: two-domain deltas
     if (bomb) {
       d.armed = true;
       EXPECT_THROW(sim.step(), Error);

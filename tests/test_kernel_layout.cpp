@@ -1,5 +1,5 @@
-// Regression tests for the data-oriented kernel memory layout (ISSUE
-// 9): the int16 partition-id truncation guard, the CSR fanout's
+// Regression tests for the data-oriented kernel memory layout: many
+// clock domains in one design, the CSR fanout's
 // dedup-under-alternation behaviour, the monotone ever-read re-eval
 // contract, and the arena footprint accounting.
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@ using rtl::Module;
 using rtl::Simulator;
 
 // ------------------------------------------------------------------
-// Partition-id truncation guard (satellite bugfix)
+// Many clock domains
 // ------------------------------------------------------------------
 
 struct Leaf : Module {
@@ -31,7 +31,7 @@ struct Leaf : Module {
 };
 
 /// A top module with `n` children, each in its own clock domain, so the
-/// design resolves to exactly `n` settle partitions.
+/// design resolves to `n` explicit clock domains.
 struct ManyDomainTop : Module {
   std::deque<ClockDomain> domains;
   std::vector<std::unique_ptr<Leaf>> leaves;
@@ -51,31 +51,13 @@ struct ManyDomainTop : Module {
   }
 };
 
-TEST(PartitionIdGuard, ManyDomainsWithinRangeElaborate) {
-  // Comfortably many domains bind fine and keep distinct partitions.
+TEST(DomainIndex, ManyDomainsWithinRangeElaborate) {
+  // Comfortably many domains bind fine and keep distinct indices.
   ManyDomainTop top(300);
   Simulator sim(top);
   EXPECT_EQ(sim.domain_count(), 301u);  // top's default domain + 300
-}
-
-TEST(PartitionIdGuard, TooManyDomainsThrowAtElaboration) {
-  // Partition ids live in std::int16_t (Module::part_ /
-  // SignalBase::part_ and the SoA mirrors): domain index 32768 would
-  // wrap negative and corrupt worklist routing.  Before the guard this
-  // truncated silently; now elaboration must refuse, loudly and by
-  // field name.  32768 child domains + the top's inherited default
-  // domain = 32769 partitions, one past the last addressable id.
-  ManyDomainTop top(32768);
-  try {
-    Simulator sim(top);
-    FAIL() << "expected Error for 32769 clock domains";
-  } catch (const Error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("32768"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("Module::part_"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("SignalBase::part_"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("int16_t"), std::string::npos) << msg;
-  }
+  EXPECT_EQ(top.partition(), 0);
+  EXPECT_EQ(top.leaves.back()->partition(), 300);
 }
 
 // ------------------------------------------------------------------

@@ -129,7 +129,7 @@ TEST(TickScheduler, ActivationListsVisitOnlyTheFiringDomain) {
 TEST(ClockDomainValidation, RejectsDomainAssignmentWhileBound) {
   // Domains are resolved once, at elaboration: reassigning under a
   // live simulator would desynchronize the activation lists and the
-  // settle partitions.
+  // recorded module domains.
   TwoDomainTop top;
   {
     Simulator sim(top);
@@ -548,29 +548,25 @@ TEST(DualClkDesign, PixelThreeTimesFaster) { expect_dualclk_design(1, 3); }
 TEST(DualClkDesign, CoprimeRatio) { expect_dualclk_design(3, 7); }
 
 // ------------------------------------------------------------------
-// Per-domain settle partitions & domain affinity
+// Domain locality
 // ------------------------------------------------------------------
 
-TEST(SettlePartitions, ModuleAndSignalAffinityResolvedAtElaboration) {
+TEST(DomainLocality, ModuleDomainResolvedAtElaboration) {
   TwoDomainTop top;
-  EXPECT_EQ(top.partition(), -1);  // unbound: no affinity
+  EXPECT_EQ(top.partition(), -1);  // unbound: no domain
   {
     Simulator sim(top);
-    // Partitions are indexed like domain_info(): a == 0, b == 1.
+    // Indexed like domain_info(): a == 0, b == 1; ca inherits a.
     EXPECT_EQ(top.partition(), 0);
     EXPECT_EQ(top.ca.partition(), 0);
     EXPECT_EQ(top.cb.partition(), 1);
-    // A declared register signal carries its *writer's* partition.
-    EXPECT_EQ(top.ca.value.partition(), 0);
-    EXPECT_EQ(top.cb.value.partition(), 1);
   }
-  // Unbinding clears the affinity, like the dense ids.
+  // Unbinding clears the domain index, like the dense ids.
   EXPECT_EQ(top.partition(), -1);
-  EXPECT_EQ(top.cb.value.partition(), -1);
 }
 
-/// Comb logic hanging off an EdgeCounter — gives each partition
-/// something to actually settle.
+/// Comb logic hanging off an EdgeCounter — gives each domain something
+/// to evaluate after its edges.
 struct CombFollower : Module {
   Bus out{*this, "out", 16};
   const Bus& in;
@@ -580,9 +576,9 @@ struct CombFollower : Module {
   void declare_state() override { declare_seq_state(); }
 };
 
-TEST(SettlePartitions, QuietDomainIsNotSettled) {
+TEST(DomainLocality, QuietDomainIsNotEvaluated) {
   // Two independent counter+follower pairs in domains of period 2 and
-  // 3: an edge of one domain must never settle the other's partition.
+  // 3: an edge of one domain must never evaluate the other's follower.
   struct Top : Module {
     ClockDomain a{"a", 2};
     ClockDomain b{"b", 3};
@@ -602,19 +598,21 @@ TEST(SettlePartitions, QuietDomainIsNotSettled) {
   sim.reset_stats();
   while (sim.now() < 12) sim.step();  // 8 events at ticks 2,3,4,6,8,9,10,12
   const auto& st = sim.stats();
-  // Post-edge settles touch exactly the firing partitions: four a-only
-  // events, two b-only events, two simultaneous ones; every pre-edge
-  // settle is fully quiet.  The accounting is deterministic down to
-  // the exact slot counts.
-  EXPECT_EQ(st.partition_settles, 4 * 1 + 2 * 1 + 2 * 2u);
-  EXPECT_EQ(st.partition_skips, 2 * 2 * st.steps - st.partition_settles);
+  // Post-edge settles evaluate exactly the firing domains' followers:
+  // four a-only events, two b-only events, two simultaneous ones.
+  EXPECT_EQ(st.evals, 4 * 1 + 2 * 1 + 2 * 2u);
+  // Every post-edge settle evaluates something; every pre-edge settle
+  // is quiet.
+  EXPECT_EQ(st.steps, 8u);
+  EXPECT_EQ(st.partition_settles, st.steps);
+  EXPECT_EQ(st.partition_skips, st.steps);
   EXPECT_EQ(top.ca.value.read(), 6u);
   EXPECT_EQ(top.cb.value.read(), 4u);
   EXPECT_EQ(top.fa.out.read(), 7u);
   EXPECT_EQ(top.fb.out.read(), 5u);
 }
 
-TEST(SettlePartitions, FullSweepKeepsPartitionCountersAtZero) {
+TEST(DomainLocality, FullSweepKeepsSettleCountersAtZero) {
   TwoDomainTop top;
   Simulator sim(top, {.full_sweep = true});
   sim.reset();
@@ -623,9 +621,9 @@ TEST(SettlePartitions, FullSweepKeepsPartitionCountersAtZero) {
   EXPECT_EQ(sim.stats().partition_skips, 0u);
 }
 
-TEST(SettlePartitions, CdcMarksAreExactlyTheGrayPointers) {
+TEST(DomainLocality, CdcMarksAreExactlyTheGrayPointers) {
   // The CDC-arc contract: the async FIFO's gray pointers are the only
-  // signals declared as cross-partition arcs — nothing else in a
+  // signals declared as cross-domain arcs — nothing else in a
   // shipped CDC design is marked, and both pointers of every FIFO are.
   auto d = designs::make_saa2vga_triclk(
       {.width = 8, .height = 6, .cdc_depth = 8, .frames = 1});
@@ -686,11 +684,11 @@ void expect_triclk_design(const designs::Saa2VgaTriClkConfig& cfg,
   EXPECT_LT(evt.stats.evals, ref.stats.evals) << label;
   EXPECT_EQ(evt.stats.domain_edges, ref.stats.domain_edges) << label;
   ASSERT_EQ(evt.stats.domain_edges.size(), 3u) << label;
-  // All three schedulers' skip machinery must be engaged.
+  // The activation lists and the declared-state protocol must both
+  // be engaged.
   EXPECT_GT(evt.stats.act_skips, 0u) << label;
   EXPECT_GT(evt.stats.seq_skips, 0u) << label;
   EXPECT_GT(evt.stats.partition_settles, 0u) << label;
-  EXPECT_GT(evt.stats.partition_skips, 0u) << label;
 }
 
 TEST(TriClkDesign, LosslessAtCoprimeThreeWayRatio) {
@@ -744,7 +742,6 @@ TEST(TriClkDesign, FullyDeclaredThreeDomainsAndAffinity) {
   ASSERT_TRUE(sim.run([&] { return d->finished(); }, kMaxCycles).ok())
       << sim.progress_report();
   EXPECT_GT(sim.stats().seq_skips, 0u);
-  EXPECT_GT(sim.stats().partition_skips, 0u);
 }
 
 TEST(TriClkDesign, RunTimeoutProgressReportsAllThreeDomainsWithPhases) {
@@ -777,8 +774,8 @@ TEST(TriClkFarm, LanesAreLosslessAndShareThreeDomains) {
                                          .lanes = 3};
   designs::Saa2VgaTriClk d(cfg);
   Simulator sim(d);
-  // Replicating lanes adds NO domains: still exactly three settle
-  // partitions, each carrying three lanes' worth of modules.
+  // Replicating lanes adds NO domains: still exactly three, each
+  // carrying three lanes' worth of modules.
   ASSERT_EQ(sim.domain_count(), 3u);
   sim.reset();
   ASSERT_TRUE(sim.run([&] { return d.finished(); }, kMaxCycles).ok())
@@ -791,7 +788,6 @@ TEST(TriClkFarm, LanesAreLosslessAndShareThreeDomains) {
         cfg.pattern_seed + static_cast<unsigned>(i));
     EXPECT_EQ(d.lane_sink(i).frames(), input) << "lane " << i;
   }
-  EXPECT_GT(sim.stats().partition_skips, 0u);
 }
 
 TEST(TriClkFarm, EventKernelMatchesFullSweep) {

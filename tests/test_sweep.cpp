@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "designs/variants.hpp"
-#include "meta/sweep_grid.hpp"
 #include "rtl/rtl.hpp"
 #include "tb_util.hpp"
 
@@ -214,29 +213,55 @@ TEST(SweepValidation, FailingVariantDoesNotAbortTheSweep) {
 // Grid expansion (meta + designs glue)
 // ---------------------------------------------------------------------
 
-TEST(SweepGrid, EnumeratesRowMajorLastAxisFastest) {
-  const std::vector<meta::SweepAxis> axes = {{"a", {"1", "2"}},
-                                             {"b", {"x", "y", "z"}}};
-  EXPECT_EQ(meta::grid_size(axes), 6u);
-  const auto points = meta::enumerate_grid(axes);
-  ASSERT_EQ(points.size(), 6u);
-  EXPECT_EQ(points[0].label, "1_x");
-  EXPECT_EQ(points[1].label, "1_y");
-  EXPECT_EQ(points[3].label, "2_x");
-  EXPECT_EQ(points[4].at(axes, "b"), "y");
-  EXPECT_THROW((void)points[0].at(axes, "nope"), SpecError);
+std::vector<std::string> job_names(const std::vector<SweepJob>& jobs) {
+  std::vector<std::string> names;
+  for (const SweepJob& j : jobs) names.push_back(j.name);
+  return names;
+}
+
+TEST(SweepGrid, JobsAreRowMajorLastAxisFastest) {
+  designs::Saa2VgaSweepGrid g;
+  g.widths = {32, 64};
+  g.depths = {256, 512};
+  g.devices = {devices::DeviceKind::FifoCore, devices::DeviceKind::Sram};
+  EXPECT_EQ(job_names(designs::saa2vga_sweep(g)),
+            (std::vector<std::string>{
+                "saa2vga_w32_h24_d256_fifo", "saa2vga_w32_h24_d256_sram",
+                "saa2vga_w32_h24_d512_fifo", "saa2vga_w32_h24_d512_sram",
+                "saa2vga_w64_h48_d256_fifo", "saa2vga_w64_h48_d256_sram",
+                "saa2vga_w64_h48_d512_fifo", "saa2vga_w64_h48_d512_sram"}));
+  designs::TriClkSweepGrid t;
+  t.ratios = {"5x2x3", "3x1x2"};
+  t.lanes = {1, 2};
+  EXPECT_EQ(job_names(designs::saa2vga_triclk_sweep(t)),
+            (std::vector<std::string>{"triclk_5x2x3_l1", "triclk_5x2x3_l2",
+                                      "triclk_3x1x2_l1",
+                                      "triclk_3x1x2_l2"}));
 }
 
 TEST(SweepGrid, ValidationNamesTheAxis) {
+  designs::Saa2VgaSweepGrid dup;
+  dup.depths = {256, 256};
   try {
-    (void)meta::enumerate_grid({{"w", {"1"}}, {"w", {"2"}}});
+    (void)designs::saa2vga_sweep(dup);
     FAIL() << "expected SpecError";
   } catch (const SpecError& e) {
-    EXPECT_THAT(e.what(), HasSubstr("duplicate axis 'w'"));
+    EXPECT_THAT(e.what(), HasSubstr("axis 'depth' repeats value '256'"));
   }
-  EXPECT_THROW((void)meta::enumerate_grid({}), SpecError);
-  EXPECT_THROW((void)meta::enumerate_grid({{"w", {}}}), SpecError);
-  EXPECT_THROW((void)meta::enumerate_grid({{"", {"1"}}}), SpecError);
+  designs::Saa2VgaSweepGrid empty;
+  empty.devices = {};
+  try {
+    (void)designs::saa2vga_sweep(empty);
+    FAIL() << "expected SpecError";
+  } catch (const SpecError& e) {
+    EXPECT_THAT(e.what(), HasSubstr("axis 'device' has no values"));
+  }
+  designs::TriClkSweepGrid dupratio;
+  dupratio.ratios = {"5x2x3", "5x2x3"};
+  EXPECT_THROW((void)designs::saa2vga_triclk_sweep(dupratio), SpecError);
+  designs::TriClkSweepGrid nolanes;
+  nolanes.lanes = {};
+  EXPECT_THROW((void)designs::saa2vga_triclk_sweep(nolanes), SpecError);
 }
 
 TEST(SweepGrid, DesignGridsRejectImpossibleVariants) {

@@ -4,7 +4,7 @@
 //   * Zero-interference: with a profiling tracer attached, the
 //     deterministic outputs — every Simulator::Stats counter and the
 //     VCD byte stream — are identical to the untraced run, across both
-//     kernels and on the multi-partition tri-clock farm.
+//     kernels and on the three-domain tri-clock farm.
 //   * Coverage: one span per kernel phase occurrence (edge events,
 //     settles, reset, snapshot save/restore), time-ordered.
 //   * Bounded memory: a tiny ring drops the oldest spans and counts
@@ -113,8 +113,8 @@ TEST(Telemetry, TracerDoesNotPerturbStatsOrVcd) {
 }
 
 TEST(Telemetry, TracerDoesNotPerturbTriClkFarm) {
-  // Tri-clock farm: three settle partitions, so the traced run records
-  // per-partition settle spans on every multi-partition delta.
+  // Tri-clock farm: three clock domains; the traced run records one
+  // settle span per settle, exactly like the single-clock designs.
   const designs::Saa2VgaTriClkConfig cfg{.width = 8, .height = 6,
                                          .cdc_depth = 8, .frames = 1,
                                          .lanes = 3};
@@ -133,10 +133,9 @@ TEST(Telemetry, TracerDoesNotPerturbTriClkFarm) {
           << sim.progress_report();
       out.stats = sim.stats();
       if (traced) {
-        EXPECT_GT(sim.telemetry()
-                      ->phase_total(TracePhase::PartitionSettle)
-                      .count,
-                  0u);
+        EXPECT_EQ(sim.telemetry()->phase_total(TracePhase::Settle).count,
+                  sim.stats().settles);
+        EXPECT_GT(sim.stats().settles, 0u);
       }
     }
     out.frames = d.sink().frames();
