@@ -120,9 +120,11 @@ void BM_VcdFlagship(benchmark::State& state) {
 // iteration is one save_snapshot() or one restore_snapshot(), so the
 // reported per-iteration time is the µs cost of a checkpoint or a
 // rollback; blob_bytes is the serialized checkpoint size.  Measured on
-// the flagship single-clock design and on the tri-clock capture farm
+// the flagship single-clock design, on the tri-clock capture farm
 // (three domains, three lanes, async-FIFO CDC) whose per-domain
-// scheduler state makes restore do the most rebuilding.
+// scheduler state makes restore do the most rebuilding, and on the
+// SRAM-bound saa2vga whose two 2^16-word ExternalSram images make the
+// state codec's word arrays (1 MiB per blob) the dominant cost.
 
 std::unique_ptr<designs::VideoDesign> make_farm() {
   return designs::make_saa2vga_triclk({.width = 16,
@@ -130,6 +132,11 @@ std::unique_ptr<designs::VideoDesign> make_farm() {
                                        .cdc_depth = 16,
                                        .frames = 1,
                                        .lanes = 3});
+}
+
+std::unique_ptr<designs::VideoDesign> make_sram() {
+  return designs::make_saa2vga_pattern(
+      {.width = 32, .height = 24, .device = designs::DeviceKind::Sram});
 }
 
 void warm_up(designs::VideoDesign& d, rtl::Simulator& sim) {
@@ -230,6 +237,10 @@ BENCHMARK_CAPTURE(BM_Elaborate, farm, &make_farm)
     ->Name("elaborate/saa2vga_triclk_farm3");
 BENCHMARK_CAPTURE(BM_Teardown, farm, &make_farm)
     ->Name("teardown/saa2vga_triclk_farm3");
+BENCHMARK_CAPTURE(BM_Elaborate, sram, &make_sram)
+    ->Name("elaborate/saa2vga_pattern_sram_32x24");
+BENCHMARK_CAPTURE(BM_Teardown, sram, &make_sram)
+    ->Name("teardown/saa2vga_pattern_sram_32x24");
 
 BENCHMARK(BM_TriclkFarm<false>)->Name("saa2vga_triclk_farm3/event");
 BENCHMARK(BM_TriclkFarm<true>)->Name("saa2vga_triclk_farm3/full_sweep");
@@ -242,6 +253,10 @@ BENCHMARK_CAPTURE(BM_SnapshotSave, farm, &make_farm)
     ->Name("snapshot/save/saa2vga_triclk_farm3");
 BENCHMARK_CAPTURE(BM_SnapshotRestore, farm, &make_farm)
     ->Name("snapshot/restore/saa2vga_triclk_farm3");
+BENCHMARK_CAPTURE(BM_SnapshotSave, sram, &make_sram)
+    ->Name("snapshot/save/saa2vga_pattern_sram_32x24");
+BENCHMARK_CAPTURE(BM_SnapshotRestore, sram, &make_sram)
+    ->Name("snapshot/restore/saa2vga_pattern_sram_32x24");
 
 BENCHMARK(BM_Saa2VgaPattern<false>)
     ->Name("saa2vga_pattern/event")

@@ -7,16 +7,22 @@
 // Module::save_state/load_state hooks), and the scheduler (tick,
 // per-domain next edges, stats counters).  The blob is guarded by a
 // topology hash of the elaborated design so restoring into a
-// mismatched or differently-parameterized design throws Error instead
-// of silently corrupting.
+// mismatched or differently-parameterized design throws SnapshotError
+// instead of silently corrupting.
 //
 // StateWriter/StateReader are the little-endian byte codecs the hooks
 // write through.  All multi-byte integers are stored little-endian
 // regardless of host order, so blobs are portable across builds of the
-// same design.  StateReader throws Error on any truncated read, which
-// is what turns a corrupted blob into a clean failure.
+// same design.  A word array (BlockRam, FIFO and SRAM storage, video
+// frames) is one block: a u64 element count, then every element as a
+// little-endian u64.  On a little-endian host that block is the
+// vector's own memory, so it moves in one copy each way; the
+// per-element loop runs only on big-endian hosts.  StateReader throws
+// SnapshotError on any truncated read, which is what turns a corrupted
+// blob into a clean failure.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -92,7 +98,10 @@ class StateWriter {
 
   void words(const std::vector<Word>& v) {
     u64(v.size());
-    for (Word w : v) u64(w);
+    if constexpr (std::endian::native == std::endian::little)
+      bytes(v.data(), v.size() * sizeof(Word));
+    else
+      for (Word w : v) u64(w);
   }
 
   /// Reserves a 4-byte length slot; patch it later with patch_u32().
@@ -180,9 +189,16 @@ class StateReader {
 
   void words(std::vector<Word>& out) {
     const std::uint64_t n = u64();
-    need(n * 8, "word vector");
+    // Divide, never multiply: a corrupted count >= 2^61 would wrap
+    // n * 8 into a small byte count that passes the check.
+    if (n > remaining() / sizeof(Word))
+      truncated(std::to_string(n) + " word(s)", "word vector");
     out.resize(static_cast<std::size_t>(n));
-    for (auto& w : out) w = u64();
+    if constexpr (std::endian::native == std::endian::little) {
+      if (n != 0) bytes(out.data(), out.size() * sizeof(Word));
+    } else {
+      for (auto& w : out) w = u64();
+    }
   }
 
   [[nodiscard]] std::size_t consumed() const { return pos_; }
@@ -190,12 +206,14 @@ class StateReader {
 
  private:
   void need(std::uint64_t n, const char* what) const {
-    if (n > size_ - pos_)
-      throw SnapshotError(
-          "snapshot: truncated blob (need " + std::to_string(n) +
-          " more byte(s) for " + what + ", have " +
-          std::to_string(size_ - pos_) + " of " + std::to_string(size_) +
-          ")");
+    if (n > size_ - pos_) truncated(std::to_string(n) + " more byte(s)", what);
+  }
+
+  [[noreturn]] void truncated(const std::string& amount,
+                              const char* what) const {
+    throw SnapshotError("snapshot: truncated blob (need " + amount + " for " +
+                        what + ", have " + std::to_string(size_ - pos_) +
+                        " of " + std::to_string(size_) + ")");
   }
 
   const std::uint8_t* data_;
