@@ -210,24 +210,13 @@ void ReduceFsm::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void Algorithm::save_state(rtl::StateWriter& w) const {
-  w.boolean(running_);
-  w.u64(transfers_);
+void Algorithm::visit_state(rtl::StateIO& io) {
+  io(running_, transfers_);
 }
 
-void Algorithm::load_state(rtl::StateReader& r) {
-  running_ = r.boolean();
-  transfers_ = r.u64();
-}
-
-void ReduceFsm::save_state(rtl::StateWriter& w) const {
-  Algorithm::save_state(w);
-  w.word(acc_);
-}
-
-void ReduceFsm::load_state(rtl::StateReader& r) {
-  Algorithm::load_state(r);
-  acc_ = r.word();
+void ReduceFsm::visit_state(rtl::StateIO& io) {
+  Algorithm::visit_state(io);
+  io(acc_);
 }
 
 }  // namespace hwpat::core

@@ -44,8 +44,7 @@ class Algorithm : public rtl::Module {
   /// seq_touch() inside clock_control()/count_transfer().  Subclasses
   /// with extra eval-visible state extend this (and must call it).
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
 
   [[nodiscard]] bool running() const { return running_; }
   [[nodiscard]] std::uint64_t transfers() const { return transfers_; }
@@ -152,8 +151,7 @@ class ReduceFsm : public Algorithm {
   void on_clock() override;
   void on_reset() override;
   void report(rtl::PrimitiveTally& t) const override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
 
  private:
   [[nodiscard]] bool transfer_now() const;

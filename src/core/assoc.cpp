@@ -232,28 +232,9 @@ void AssocArrayContainer::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void AssocArrayContainer::save_state(rtl::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(state_));
-  w.u32(static_cast<std::uint32_t>(op_));
-  w.word(key_);
-  w.word(val_);
-  w.word(slot_);
-  w.word(first_free_);
-  w.boolean(have_free_);
-  w.i32(probes_);
-  w.i32(occupancy_);
-}
-
-void AssocArrayContainer::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
-  op_ = static_cast<OpKind>(r.u32());
-  key_ = r.word();
-  val_ = r.word();
-  slot_ = r.word();
-  first_free_ = r.word();
-  have_free_ = r.boolean();
-  probes_ = r.i32();
-  occupancy_ = r.i32();
+void AssocArrayContainer::visit_state(rtl::StateIO& io) {
+  io(state_, op_, key_, val_, slot_, first_free_, have_free_, probes_,
+     occupancy_);
 }
 
 }  // namespace hwpat::core

@@ -119,22 +119,9 @@ void BlurFsm::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void BlurFsm::save_state(rtl::StateWriter& w) const {
-  Algorithm::save_state(w);
-  w.word(win_[0]);
-  w.word(win_[1]);
-  w.i32(x_);
-  w.i32(row_);
-  w.u64(frames_done_);
-}
-
-void BlurFsm::load_state(rtl::StateReader& r) {
-  Algorithm::load_state(r);
-  win_[0] = r.word();
-  win_[1] = r.word();
-  x_ = r.i32();
-  row_ = r.i32();
-  frames_done_ = r.u64();
+void BlurFsm::visit_state(rtl::StateIO& io) {
+  Algorithm::visit_state(io);
+  io(win_[0], win_[1], x_, row_, frames_done_);
 }
 
 }  // namespace hwpat::core

@@ -42,8 +42,7 @@ class BlurFsm : public Algorithm {
   void on_clock() override;
   void on_reset() override;
   void report(rtl::PrimitiveTally& t) const override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
 
   [[nodiscard]] const Config& config() const { return cfg_; }
 

@@ -226,20 +226,12 @@ void VectorSeqIterator::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void VectorRandomIterator::save_state(rtl::StateWriter& w) const {
-  w.word(pos_);
+void VectorRandomIterator::visit_state(rtl::StateIO& io) {
+  io(pos_);
 }
 
-void VectorRandomIterator::load_state(rtl::StateReader& r) {
-  pos_ = r.word();
-}
-
-void VectorSeqIterator::save_state(rtl::StateWriter& w) const {
-  w.word(pos_);
-}
-
-void VectorSeqIterator::load_state(rtl::StateReader& r) {
-  pos_ = r.word();
+void VectorSeqIterator::visit_state(rtl::StateIO& io) {
+  io(pos_);
 }
 
 }  // namespace hwpat::core

@@ -105,8 +105,7 @@ class VectorRandomIterator : public Iterator {
   // The position register is internal state read by eval_comb();
   // on_clock() reports its changes via seq_touch().
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] Word position() const { return pos_; }
@@ -137,8 +136,7 @@ class VectorSeqIterator : public Iterator {
   void on_reset() override;
   // Position register changes are reported via seq_touch().
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] Word position() const { return pos_; }

@@ -182,26 +182,8 @@ void SramStreamContainer::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void SramStreamContainer::save_state(rtl::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(state_));
-  w.i32(head_);
-  w.i32(tail_);
-  w.i32(count_);
-  w.word(front_);
-  w.boolean(front_valid_);
-  w.boolean(wpend_);
-  w.word(wreg_);
-}
-
-void SramStreamContainer::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
-  head_ = r.i32();
-  tail_ = r.i32();
-  count_ = r.i32();
-  front_ = r.word();
-  front_valid_ = r.boolean();
-  wpend_ = r.boolean();
-  wreg_ = r.word();
+void SramStreamContainer::visit_state(rtl::StateIO& io) {
+  io(state_, head_, tail_, count_, front_, front_valid_, wpend_, wreg_);
 }
 
 }  // namespace hwpat::core

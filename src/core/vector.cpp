@@ -163,12 +163,8 @@ void VectorContainer::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void VectorContainer::save_state(rtl::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(state_));
-}
-
-void VectorContainer::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
+void VectorContainer::visit_state(rtl::StateIO& io) {
+  io(state_);
 }
 
 }  // namespace hwpat::core

@@ -37,8 +37,7 @@ class VectorContainer : public Container {
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const Config& config() const { return cfg_; }

@@ -96,16 +96,8 @@ bool BlurCustom::finished() const {
 }
 
 
-void BlurCustom::save_state(rtl::StateWriter& w) const {
-  w.word(win_[0]);
-  w.word(win_[1]);
-  w.i32(x_);
-}
-
-void BlurCustom::load_state(rtl::StateReader& r) {
-  win_[0] = r.word();
-  win_[1] = r.word();
-  x_ = r.i32();
+void BlurCustom::visit_state(rtl::StateIO& io) {
+  io(win_[0], win_[1], x_);
 }
 
 }  // namespace hwpat::designs

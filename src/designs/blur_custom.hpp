@@ -22,8 +22,7 @@ class BlurCustom : public VideoDesign {
   void on_reset() override;
   // on_clock() writes no signals; win_/x_ changes are seq_touch()ed.
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const video::VgaSink& sink() const override {

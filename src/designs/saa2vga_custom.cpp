@@ -265,43 +265,10 @@ bool Saa2VgaCustomSram::finished() const {
 }
 
 
-namespace {
-
-void save_mem_ctl(rtl::StateWriter& w, std::uint32_t state, int head,
-                  int tail, int count, Word wlatch, bool wpend, Word front,
-                  bool front_valid, Word base) {
-  w.u32(state);
-  w.i32(head);
-  w.i32(tail);
-  w.i32(count);
-  w.word(wlatch);
-  w.boolean(wpend);
-  w.word(front);
-  w.boolean(front_valid);
-  w.word(base);
-}
-
-}  // namespace
-
-void Saa2VgaCustomSram::save_state(rtl::StateWriter& w) const {
-  for (const MemCtl* m : {&in_ctl_, &out_ctl_})
-    save_mem_ctl(w, static_cast<std::uint32_t>(m->state), m->head, m->tail,
-                 m->count, m->wlatch, m->wpend, m->front, m->front_valid,
-                 m->base);
-}
-
-void Saa2VgaCustomSram::load_state(rtl::StateReader& r) {
-  for (MemCtl* m : {&in_ctl_, &out_ctl_}) {
-    m->state = static_cast<State>(r.u32());
-    m->head = r.i32();
-    m->tail = r.i32();
-    m->count = r.i32();
-    m->wlatch = r.word();
-    m->wpend = r.boolean();
-    m->front = r.word();
-    m->front_valid = r.boolean();
-    m->base = r.word();
-  }
+void Saa2VgaCustomSram::visit_state(rtl::StateIO& io) {
+  for (MemCtl* m : {&in_ctl_, &out_ctl_})
+    io(m->state, m->head, m->tail, m->count, m->wlatch, m->wpend, m->front,
+       m->front_valid, m->base);
 }
 
 }  // namespace hwpat::designs

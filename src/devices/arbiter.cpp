@@ -96,19 +96,12 @@ void SramArbiter::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void SramArbiter::save_state(rtl::StateWriter& w) const {
-  w.i32(grant_);
-  w.i32(rr_next_);
-  w.u32(static_cast<std::uint32_t>(grant_counts_.size()));
-  for (const std::uint64_t c : grant_counts_) w.u64(c);
-}
-
-void SramArbiter::load_state(rtl::StateReader& r) {
-  grant_ = r.i32();
-  rr_next_ = r.i32();
-  const std::uint32_t n = r.u32();
-  grant_counts_.assign(n, 0);
-  for (std::uint64_t& c : grant_counts_) c = r.u64();
+void SramArbiter::visit_state(rtl::StateIO& io) {
+  io(grant_, rr_next_);
+  // One counter per master: a blob with any other count would leave
+  // the next grant indexing past the table.
+  io.count(grant_counts_.size(), "grant counter");
+  for (std::uint64_t& c : grant_counts_) io(c);
 }
 
 }  // namespace hwpat::devices

@@ -53,8 +53,7 @@ class SramArbiter : public rtl::Module {
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] int num_masters() const {

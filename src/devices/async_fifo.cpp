@@ -76,8 +76,7 @@ class AsyncFifo::WriteSide : public rtl::Module {
 
   void on_reset() override { wbin_ = 0; }
 
-  void save_state(rtl::StateWriter& w) const override { w.word(wbin_); }
-  void load_state(rtl::StateReader& r) override { wbin_ = r.word(); }
+  void visit_state(rtl::StateIO& io) override { io(wbin_); }
 
   void declare_state() override {
     register_seq(f_.wptr_gray_);
@@ -157,8 +156,7 @@ class AsyncFifo::ReadSide : public rtl::Module {
 
   void on_reset() override { rbin_ = 0; }
 
-  void save_state(rtl::StateWriter& w) const override { w.word(rbin_); }
-  void load_state(rtl::StateReader& r) override { rbin_ = r.word(); }
+  void visit_state(rtl::StateIO& io) override { io(rbin_); }
 
   void declare_state() override {
     register_seq(f_.rptr_gray_);
@@ -205,9 +203,9 @@ AsyncFifo::AsyncFifo(Module* parent, std::string name, AsyncFifoConfig cfg,
 
 AsyncFifo::~AsyncFifo() = default;
 
-void AsyncFifo::save_state(rtl::StateWriter& w) const { w.words(mem_); }
-
-void AsyncFifo::load_state(rtl::StateReader& r) { r.words(mem_); }
+void AsyncFifo::visit_state(rtl::StateIO& io) {
+  io(mem_);
+}
 
 int AsyncFifo::size() const {
   return static_cast<int>(wr_->wbin_ - rd_->rbin_);

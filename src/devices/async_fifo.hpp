@@ -73,8 +73,7 @@ class AsyncFifo : public rtl::Module {
   // its domain's activation list entirely.
   void declare_state() override { declare_comb_only(); }
   // Shared storage array; each side serializes its own binary pointer.
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const AsyncFifoConfig& config() const { return cfg_; }

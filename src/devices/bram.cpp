@@ -45,8 +45,8 @@ void BlockRam::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void BlockRam::save_state(rtl::StateWriter& w) const { w.words(mem_); }
-
-void BlockRam::load_state(rtl::StateReader& r) { r.words(mem_); }
+void BlockRam::visit_state(rtl::StateIO& io) {
+  io(mem_);
+}
 
 }  // namespace hwpat::devices

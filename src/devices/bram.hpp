@@ -39,8 +39,7 @@ class BlockRam : public rtl::Module {
 
   void on_clock() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const BramConfig& config() const { return cfg_; }

@@ -102,16 +102,8 @@ void FifoCore::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void FifoCore::save_state(rtl::StateWriter& w) const {
-  w.i32(head_);
-  w.i32(count_);
-  w.words(mem_);
-}
-
-void FifoCore::load_state(rtl::StateReader& r) {
-  head_ = r.i32();
-  count_ = r.i32();
-  r.words(mem_);
+void FifoCore::visit_state(rtl::StateIO& io) {
+  io(head_, count_, mem_);
 }
 
 }  // namespace hwpat::devices

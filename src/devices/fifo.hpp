@@ -52,8 +52,7 @@ class FifoCore : public rtl::Module {
   void on_clock_check() const override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const FifoConfig& config() const { return cfg_; }

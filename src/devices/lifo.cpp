@@ -100,14 +100,8 @@ void LifoCore::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void LifoCore::save_state(rtl::StateWriter& w) const {
-  w.i32(count_);
-  w.words(mem_);
-}
-
-void LifoCore::load_state(rtl::StateReader& r) {
-  count_ = r.i32();
-  r.words(mem_);
+void LifoCore::visit_state(rtl::StateIO& io) {
+  io(count_, mem_);
 }
 
 }  // namespace hwpat::devices

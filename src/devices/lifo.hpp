@@ -44,8 +44,7 @@ class LifoCore : public rtl::Module {
   void on_clock_check() const override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const LifoConfig& config() const { return cfg_; }

@@ -104,24 +104,8 @@ void LineBuffer3::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void LineBuffer3::save_state(rtl::StateWriter& w) const {
-  w.words(line1_);
-  w.words(line2_);
-  w.words(colq_);
-  w.i32(colq_head_);
-  w.i32(colq_count_);
-  w.i32(wr_x_);
-  w.i32(wr_y_);
-}
-
-void LineBuffer3::load_state(rtl::StateReader& r) {
-  r.words(line1_);
-  r.words(line2_);
-  r.words(colq_);
-  colq_head_ = r.i32();
-  colq_count_ = r.i32();
-  wr_x_ = r.i32();
-  wr_y_ = r.i32();
+void LineBuffer3::visit_state(rtl::StateIO& io) {
+  io(line1_, line2_, colq_, colq_head_, colq_count_, wr_x_, wr_y_);
 }
 
 }  // namespace hwpat::devices

@@ -55,8 +55,7 @@ class LineBuffer3 : public rtl::Module {
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const LineBuffer3Config& config() const { return cfg_; }

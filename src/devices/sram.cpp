@@ -74,16 +74,8 @@ void ExternalSram::on_reset() {
 }
 
 
-void ExternalSram::save_state(rtl::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(state_));
-  w.i32(countdown_);
-  w.words(mem_);
-}
-
-void ExternalSram::load_state(rtl::StateReader& r) {
-  state_ = static_cast<State>(r.u32());
-  countdown_ = r.i32();
-  r.words(mem_);
+void ExternalSram::visit_state(rtl::StateIO& io) {
+  io(state_, countdown_, mem_);
 }
 
 }  // namespace hwpat::devices

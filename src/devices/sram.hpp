@@ -49,8 +49,7 @@ class ExternalSram : public rtl::Module {
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   // Off-chip: contributes nothing to the FPGA resource tally.
   void report(rtl::PrimitiveTally&) const override {}
 

@@ -142,26 +142,12 @@ void WidthAdaptOutputIterator::report(rtl::PrimitiveTally& t) const {
 }
 
 
-void WidthAdaptInputIterator::save_state(rtl::StateWriter& w) const {
-  w.word(asm_reg_);
-  w.i32(lane_);
-  w.boolean(asm_valid_);
+void WidthAdaptInputIterator::visit_state(rtl::StateIO& io) {
+  io(asm_reg_, lane_, asm_valid_);
 }
 
-void WidthAdaptInputIterator::load_state(rtl::StateReader& r) {
-  asm_reg_ = r.word();
-  lane_ = r.i32();
-  asm_valid_ = r.boolean();
-}
-
-void WidthAdaptOutputIterator::save_state(rtl::StateWriter& w) const {
-  w.word(shift_reg_);
-  w.i32(pending_);
-}
-
-void WidthAdaptOutputIterator::load_state(rtl::StateReader& r) {
-  shift_reg_ = r.word();
-  pending_ = r.i32();
+void WidthAdaptOutputIterator::visit_state(rtl::StateIO& io) {
+  io(shift_reg_, pending_);
 }
 
 }  // namespace hwpat::meta

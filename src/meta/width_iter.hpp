@@ -34,8 +34,7 @@ class WidthAdaptInputIterator : public core::Iterator {
   void on_reset() override;
   // Assembly register/valid changes are reported via seq_touch().
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] int lanes() const { return lanes_; }
@@ -67,8 +66,7 @@ class WidthAdaptOutputIterator : public core::Iterator {
   void on_reset() override;
   // Shift-register/pending changes are reported via seq_touch().
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] int lanes() const { return lanes_; }

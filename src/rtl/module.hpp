@@ -100,16 +100,14 @@ class Module {
   /// visited separately).  Default: nothing — a pure wrapper.
   virtual void report(PrimitiveTally&) const {}
 
-  /// Snapshot hooks (see src/rtl/README.md).  A module with internal
+  /// Snapshot hook (see src/rtl/README.md).  A module with internal
   /// C++ state that outlives a clock edge — exactly the state whose
-  /// changes seq_touch() reports — serializes it here so
-  /// Simulator::save_snapshot()/restore_snapshot() capture it.  The
-  /// two must write and read the same byte sequence: the simulator
-  /// length-frames each module's payload and throws Error when
-  /// load_state() consumes a different count than save_state()
-  /// produced.  Default: stateless (empty payload).
-  virtual void save_state(StateWriter&) const {}
-  virtual void load_state(StateReader&) {}
+  /// changes seq_touch() reports — hands every such field to `io` here,
+  /// in a fixed order.  The same call saves the fields (into a
+  /// snapshot or the construction-time reset baseline) and restores
+  /// them, so the two directions cannot drift apart.  Default:
+  /// stateless (empty payload).
+  virtual void visit_state(StateIO&) {}
 
   /// True when this module made no sequential-state declaration (the
   /// conservative fallback).  Meaningful while bound to a Simulator.

@@ -21,8 +21,9 @@
 // (The run_until() shims, deprecated last PR in favour of
 // Simulator::run(), are gone as of this one.)
 // Headers NOT included here (module internals, the settle worklist
-// machinery, StateWriter/StateReader codec details beyond what Module
-// hooks need) may change shape between PRs without notice.
+// machinery, StateWriter/StateReader codec details beyond what
+// Module::visit_state needs) may change shape between PRs without
+// notice.
 //
 // C embedders: use src/c_api/hwpat_c.h instead, which wraps this
 // surface behind opaque handles and integer status codes.

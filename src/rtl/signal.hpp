@@ -305,7 +305,7 @@ class Signal : public SignalBase {
       throw Error("signal '" + full_name() +
                   "': value type is not trivially copyable — snapshot "
                   "cannot serialize it (keep non-POD testbench state in "
-                  "a module with save_state/load_state instead)");
+                  "a module's visit_state() instead)");
     }
   }
   void load_value_inline(StateReader& r) {

@@ -282,7 +282,7 @@ class Simulator {
   void open_vcd(const std::string& path);
 
   /// Serializes complete simulator state — every signal's committed
-  /// value, every module's save_state() payload, the scheduler (tick,
+  /// value, every module's visit_state() payload, the scheduler (tick,
   /// per-domain next edges, stats) and the learned fanout lists — into
   /// a versioned blob guarded by topology_hash().  Must be called
   /// between steps (throws Error mid-event or after an exception
@@ -544,12 +544,15 @@ class Simulator {
   /// on_clock()/on_clock_check() or registered sequential signals.
   void check_comb_only_contract();
 
-  /// Length-framed serialization of every module's save_state payload
-  /// (shared by save_snapshot and the construction-time baseline).
+  /// The scheduler block of a snapshot: tick, cycle, per-domain next
+  /// edges and the stats counters (shared by save and restore).
+  void visit_scheduler(StateIO& io);
+  /// Length-framed visit_state payload of every module (shared by
+  /// save_snapshot and the construction-time baseline).
   void save_module_states(StateWriter& w) const;
-  /// Mirror of save_module_states: throws Error (with the module path)
-  /// when a module's load_state consumes a different byte count than
-  /// its save_state produced.
+  /// Reads what save_module_states wrote: throws SnapshotError (with
+  /// the module path) when a payload is malformed or its length does
+  /// not match what the module's visit_state() read.
   void load_module_states(StateReader& r);
 
   /// Fault-injection hook.  The fast path is one enum compare (plans
@@ -654,7 +657,7 @@ class Simulator {
   // Snapshot / crash-consistency state.
   bool busy_ = false;            ///< inside step()/settle()/reset()
   bool needs_recovery_ = false;  ///< an exception unwound a settle/commit
-  /// Every module's save_state payload captured at construction, so
+  /// Every module's visit_state payload captured at construction, so
   /// reset() — after a restore, a crash, or an ordinary run — returns
   /// to construction-time state, not whatever the modules drifted to.
   std::vector<std::uint8_t> baseline_;

@@ -10,7 +10,7 @@
 //   per-signal fanout: count u32 + module ids u32... (IN LIST ORDER —
 //     fanout order determines pending-commit order and therefore VCD
 //     emission order during replay, so it is state, not just a cache)
-//   module count u32 | per-module: payload length u32 + save_state bytes
+//   module count u32 | per-module: payload length u32 + visit_state bytes
 //
 // flags bit 0 marks a capture by the full-sweep kernel: its fanout
 // lists are empty (never traced), so an event-kernel restore re-seeds a
@@ -88,11 +88,25 @@ std::uint64_t Simulator::topology_hash() const {
   return h;
 }
 
+void Simulator::visit_scheduler(StateIO& io) {
+  io(tick_, cycle_);
+  for (DomainSched& ds : scheds_) io(ds.next_edge);
+  // Stats — part of the state so replay-from-restore is byte-identical
+  // to the uninterrupted run, counters included.
+  io(stats_.steps, stats_.settles, stats_.deltas, stats_.evals,
+     stats_.commits, stats_.commit_changes, stats_.seq_touches,
+     stats_.seq_skips, stats_.edges, stats_.act_skips,
+     stats_.partition_settles, stats_.partition_skips);
+  io.count(stats_.domain_edges.size(), "domain");
+  for (std::uint64_t& v : stats_.domain_edges) io(v);
+}
+
 void Simulator::save_module_states(StateWriter& w) const {
   w.u32(static_cast<std::uint32_t>(modules_.size()));
-  for (const Module* m : modules_) {
+  StateIO io(w);
+  for (Module* m : modules_) {
     const std::size_t at = w.mark_u32();
-    m->save_state(w);
+    m->visit_state(io);
     w.patch_u32(at, static_cast<std::uint32_t>(w.size() - at - 4));
   }
 }
@@ -110,15 +124,21 @@ void Simulator::load_module_states(StateReader& r) {
                   m->full_name() + "' (declared " + std::to_string(len) +
                   " byte(s), " + std::to_string(r.remaining()) +
                   " left)");
-    const std::size_t before = r.consumed();
-    m->load_state(r);
-    const std::size_t used = r.consumed() - before;
-    if (used != len)
+    // The module reads only its own framed bytes: an over-read throws
+    // inside the frame instead of consuming the next module's payload.
+    StateReader payload = r.slice(len, "module payload");
+    StateIO io(payload);
+    try {
+      m->visit_state(io);
+    } catch (const SnapshotError& e) {
+      throw SnapshotError("module '" + m->full_name() + "': " + e.what());
+    }
+    if (payload.remaining() != 0)
       throw SnapshotError("module '" + m->full_name() +
-                          "': load_state() consumed " + std::to_string(used) +
-                  " byte(s) but save_state() wrote " +
-                  std::to_string(len) +
-                  " — the save/load pair is out of sync");
+                          "': visit_state() read " +
+                          std::to_string(payload.consumed()) + " of its " +
+                          std::to_string(len) +
+                          " payload byte(s) — the payload is corrupted");
   }
 }
 
@@ -153,26 +173,12 @@ Snapshot Simulator::save_snapshot() const {
   w.u8(kVersion);
   w.u8(opt_.full_sweep ? kFlagFullSweep : 0);
   w.u64(topology_hash());
-  // Scheduler.
-  w.u64(tick_);
-  w.u64(cycle_);
-  for (const DomainSched& ds : scheds_) w.u64(ds.next_edge);
-  // Stats — part of the state so replay-from-restore is byte-identical
-  // to the uninterrupted run, counters included.
-  w.u64(stats_.steps);
-  w.u64(stats_.settles);
-  w.u64(stats_.deltas);
-  w.u64(stats_.evals);
-  w.u64(stats_.commits);
-  w.u64(stats_.commit_changes);
-  w.u64(stats_.seq_touches);
-  w.u64(stats_.seq_skips);
-  w.u64(stats_.edges);
-  w.u64(stats_.act_skips);
-  w.u64(stats_.partition_settles);
-  w.u64(stats_.partition_skips);
-  w.u32(static_cast<std::uint32_t>(stats_.domain_edges.size()));
-  for (const std::uint64_t v : stats_.domain_edges) w.u64(v);
+  {
+    // visit_scheduler() is shared with restore_snapshot(); a writing
+    // StateIO only reads the fields it is handed.
+    StateIO io(w);
+    const_cast<Simulator*>(this)->visit_scheduler(io);
+  }
   // Committed signal values.
   w.u32(static_cast<std::uint32_t>(signals_.size()));
   for (const SignalBase* s : signals_) s->save_value_fast(w);
@@ -231,30 +237,10 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
   fault_seen_ = 0;
   const std::uint64_t t0 = telem_ != nullptr ? telem_->now_ns() : 0;
   try {
-    // Scheduler.
-    tick_ = r.u64();
-    cycle_ = r.u64();
-    for (DomainSched& ds : scheds_) ds.next_edge = r.u64();
-    // Stats.
-    stats_.steps = r.u64();
-    stats_.settles = r.u64();
-    stats_.deltas = r.u64();
-    stats_.evals = r.u64();
-    stats_.commits = r.u64();
-    stats_.commit_changes = r.u64();
-    stats_.seq_touches = r.u64();
-    stats_.seq_skips = r.u64();
-    stats_.edges = r.u64();
-    stats_.act_skips = r.u64();
-    stats_.partition_settles = r.u64();
-    stats_.partition_skips = r.u64();
-    const std::uint32_t nd = r.u32();
-    if (nd != scheds_.size())
-      throw SnapshotError("snapshot: domain count mismatch (blob has " +
-                  std::to_string(nd) + ", design has " +
-                  std::to_string(scheds_.size()) + ")");
-    stats_.domain_edges.resize(nd);
-    for (std::uint64_t& v : stats_.domain_edges) v = r.u64();
+    {
+      StateIO io(r);
+      visit_scheduler(io);
+    }
     // Kernel queues: a snapshot is always quiet (see save_snapshot), so
     // every transient list empties.
     worklist_.clear();

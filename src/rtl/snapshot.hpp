@@ -3,29 +3,33 @@
 //
 // A snapshot captures everything the kernel needs to replay
 // deterministically from the capture point: every signal's committed
-// value, every module's internal C++ state (via the
-// Module::save_state/load_state hooks), and the scheduler (tick,
-// per-domain next edges, stats counters).  The blob is guarded by a
-// topology hash of the elaborated design so restoring into a
-// mismatched or differently-parameterized design throws SnapshotError
-// instead of silently corrupting.
+// value, every module's internal C++ state (via Module::visit_state),
+// and the scheduler (tick, per-domain next edges, stats counters).  The
+// blob is guarded by a topology hash of the elaborated design so
+// restoring into a mismatched or differently-parameterized design
+// throws SnapshotError instead of silently corrupting.
 //
-// StateWriter/StateReader are the little-endian byte codecs the hooks
-// write through.  All multi-byte integers are stored little-endian
-// regardless of host order, so blobs are portable across builds of the
-// same design.  A word array (BlockRam, FIFO and SRAM storage, video
-// frames) is one block: a u64 element count, then every element as a
-// little-endian u64.  On a little-endian host that block is the
-// vector's own memory, so it moves in one copy each way; the
-// per-element loop runs only on big-endian hosts.  StateReader throws
-// SnapshotError on any truncated read, which is what turns a corrupted
-// blob into a clean failure.
+// StateWriter/StateReader are the little-endian byte codecs.  All
+// multi-byte integers are stored little-endian regardless of host
+// order, so blobs are portable across builds of the same design.  A
+// word array (BlockRam, FIFO and SRAM storage, video frames) is one
+// block: a u64 element count, then every element as a little-endian
+// u64.  On a little-endian host that block is the vector's own memory,
+// so it moves in one copy each way; the per-element loop runs only on
+// big-endian hosts.  StateReader throws SnapshotError on any truncated
+// read, which is what turns a corrupted blob into a clean failure.
+//
+// StateIO runs one field list in either direction: a module names its
+// state once, in visit_state(), and the same code saves and restores
+// it, so the two can no longer drift apart.
 #pragma once
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -75,16 +79,10 @@ class StateWriter {
   void boolean(bool v) { u8(v ? 1 : 0); }
   void word(Word v) { u64(v); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
-  void i32(int v) { i64(v); }
 
   void bytes(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
-  }
-
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes(s.data(), s.size());
   }
 
   /// Raw-bytes escape hatch for trivially-copyable values whose layout
@@ -98,10 +96,15 @@ class StateWriter {
 
   void words(const std::vector<Word>& v) {
     u64(v.size());
+    word_block(v.data(), v.size());
+  }
+
+  /// `n` words without a count prefix.
+  void word_block(const Word* p, std::size_t n) {
     if constexpr (std::endian::native == std::endian::little)
-      bytes(v.data(), v.size() * sizeof(Word));
+      bytes(p, n * sizeof(Word));
     else
-      for (Word w : v) u64(w);
+      for (std::size_t i = 0; i < n; ++i) u64(p[i]);
   }
 
   /// Reserves a 4-byte length slot; patch it later with patch_u32().
@@ -163,20 +166,11 @@ class StateReader {
   bool boolean() { return u8() != 0; }
   Word word() { return u64(); }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-  int i32() { return static_cast<int>(i64()); }
 
   void bytes(void* p, std::size_t n) {
     need(n, "raw bytes");
     std::memcpy(p, data_ + pos_, n);
     pos_ += n;
-  }
-
-  std::string str() {
-    const std::uint32_t n = u32();
-    need(n, "string");
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
-    return s;
   }
 
   template <typename T>
@@ -187,18 +181,30 @@ class StateReader {
     return v;
   }
 
+  /// A word array whose length the blob decides (u64 count + block).
   void words(std::vector<Word>& out) {
     const std::uint64_t n = u64();
-    // Divide, never multiply: a corrupted count >= 2^61 would wrap
-    // n * 8 into a small byte count that passes the check.
-    if (n > remaining() / sizeof(Word))
-      truncated(std::to_string(n) + " word(s)", "word vector");
+    need_words(n);
     out.resize(static_cast<std::size_t>(n));
+    word_block(out.data(), out.size());
+  }
+
+  /// The `n` words of a block whose count was already read.
+  void word_block(Word* out, std::size_t n) {
+    need_words(n);
     if constexpr (std::endian::native == std::endian::little) {
-      if (n != 0) bytes(out.data(), out.size() * sizeof(Word));
+      if (n != 0) bytes(out, n * sizeof(Word));
     } else {
-      for (auto& w : out) w = u64();
+      for (std::size_t i = 0; i < n; ++i) out[i] = u64();
     }
+  }
+
+  /// A reader over the next `n` bytes, which this reader skips.
+  [[nodiscard]] StateReader slice(std::size_t n, const char* what) {
+    need(n, what);
+    const StateReader sub(data_ + pos_, n);
+    pos_ += n;
+    return sub;
   }
 
   [[nodiscard]] std::size_t consumed() const { return pos_; }
@@ -207,6 +213,13 @@ class StateReader {
  private:
   void need(std::uint64_t n, const char* what) const {
     if (n > size_ - pos_) truncated(std::to_string(n) + " more byte(s)", what);
+  }
+
+  // Divide, never multiply: a corrupted count >= 2^61 would wrap
+  // n * 8 into a small byte count that passes the check.
+  void need_words(std::uint64_t n) const {
+    if (n > remaining() / sizeof(Word))
+      truncated(std::to_string(n) + " word(s)", "word vector");
   }
 
   [[noreturn]] void truncated(const std::string& amount,
@@ -219,6 +232,109 @@ class StateReader {
   const std::uint8_t* data_;
   std::size_t size_;
   std::size_t pos_ = 0;
+};
+
+/// One description of a module's state, run in either direction: over
+/// a StateWriter it saves each field it is handed, over a StateReader
+/// it overwrites each field from the blob, so `io(head_, count_, mem_)`
+/// is both halves.  Encodings by field type: int i64; Word, uint64_t
+/// and size_t u64; uint32_t and enums u32; bool u8; std::vector<Word> a
+/// u64 count and a block, where the count must equal the vector's size
+/// (storage is sized at construction).  Reading throws SnapshotError on
+/// a truncated payload, an out-of-range int or a mismatched count.
+class StateIO {
+ public:
+  explicit StateIO(StateWriter& w) : w_(&w) {}
+  explicit StateIO(StateReader& r) : r_(&r) {}
+
+  [[nodiscard]] bool reading() const { return r_ != nullptr; }
+
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (field(fields), ...);
+  }
+
+  /// A u32 element count fixed by the design (one entry per arbiter
+  /// master, per clock domain): reading throws SnapshotError unless
+  /// the blob's count equals `n`.
+  void count(std::size_t n, const char* what) {
+    if (!reading()) return w_->u32(static_cast<std::uint32_t>(n));
+    const std::uint32_t have = r_->u32();
+    if (have != n)
+      throw SnapshotError("snapshot: " + std::string(what) +
+                          " count mismatch (blob has " +
+                          std::to_string(have) + ", design has " +
+                          std::to_string(n) + ")");
+  }
+
+  /// A word array that grows at run time (a testbench's collected
+  /// output): same encoding as a fixed one, but the blob sets the size.
+  void word_list(std::vector<Word>& v) {
+    if (reading()) r_->words(v);
+    else w_->words(v);
+  }
+
+  /// The words of an array whose u64 count the visit has already
+  /// handled, for a visit that must check the count before it sizes
+  /// the array.
+  void word_block(std::vector<Word>& v) {
+    if (reading()) r_->word_block(v.data(), v.size());
+    else w_->word_block(v.data(), v.size());
+  }
+
+  /// Payload bytes left to read; 0 while writing.  Lets a visit bound
+  /// a variable element count before it allocates for it.
+  [[nodiscard]] std::size_t remaining() const {
+    return reading() ? r_->remaining() : 0;
+  }
+
+ private:
+  void field(int& v) {
+    if (!reading()) return w_->i64(v);
+    const std::int64_t x = r_->i64();
+    if (x < std::numeric_limits<int>::min() ||
+        x > std::numeric_limits<int>::max())
+      throw SnapshotError("snapshot: int field holds " + std::to_string(x));
+    v = static_cast<int>(x);
+  }
+
+  void field(bool& v) {
+    if (reading()) v = r_->boolean();
+    else w_->boolean(v);
+  }
+
+  void field(std::uint32_t& v) {
+    if (reading()) v = r_->u32();
+    else w_->u32(v);
+  }
+
+  template <std::unsigned_integral T>
+    requires(sizeof(T) == sizeof(std::uint64_t))
+  void field(T& v) {
+    if (reading()) v = static_cast<T>(r_->u64());
+    else w_->u64(v);
+  }
+
+  template <typename E>
+    requires std::is_enum_v<E>
+  void field(E& v) {
+    auto u = static_cast<std::uint32_t>(v);
+    field(u);
+    v = static_cast<E>(u);
+  }
+
+  void field(std::vector<Word>& v) {
+    std::uint64_t n = v.size();
+    field(n);
+    if (n != v.size())
+      throw SnapshotError("snapshot: word vector of " + std::to_string(n) +
+                          " word(s) in the blob, " +
+                          std::to_string(v.size()) + " in the design");
+    word_block(v);
+  }
+
+  StateWriter* w_ = nullptr;
+  StateReader* r_ = nullptr;
 };
 
 }  // namespace hwpat::rtl

@@ -150,58 +150,58 @@ void VgaSink::report(rtl::PrimitiveTally& t) const {
 
 namespace {
 
-void save_frame(rtl::StateWriter& w, const Frame& f) {
-  w.i32(f.width());
-  w.i32(f.height());
-  w.i32(f.channels());
-  w.words(f.pixels());
-}
+/// Smallest encoded frame: three dims and an empty pixel count.
+constexpr std::size_t kMinFrameBytes = 4 * sizeof(std::uint64_t);
 
-Frame load_frame(rtl::StateReader& r) {
-  const int width = r.i32();
-  const int height = r.i32();
-  const int channels = r.i32();
-  Frame f(width, height, channels);
-  r.words(f.pixels());
-  return f;
+/// A frame is its three dims, then its pixels as a word array.  Reading
+/// checks the dims and the pixel count against each other and against
+/// the payload before it allocates the frame.
+void visit_frame(rtl::StateIO& io, Frame& f) {
+  int width = f.width();
+  int height = f.height();
+  int channels = f.channels();
+  std::uint64_t words = f.pixel_count();  // the pixel array's count
+  io(width, height, channels, words);
+  if (io.reading()) {
+    const std::string dims = std::to_string(width) + "x" +
+                             std::to_string(height) + "x" +
+                             std::to_string(channels);
+    if (width < 1 || height < 1 || (channels != 1 && channels != 3))
+      throw SnapshotError("snapshot: invalid frame dims " + dims);
+    if (words != static_cast<std::uint64_t>(width) *
+                     static_cast<std::uint64_t>(height))
+      throw SnapshotError("snapshot: a " + dims + " frame with " +
+                          std::to_string(words) + " pixel word(s)");
+    if (words > io.remaining() / sizeof(Word))
+      throw SnapshotError("snapshot: a " + dims +
+                          " frame overruns the payload");
+    f = Frame(width, height, channels);
+  }
+  io.word_block(f.pixels());
 }
 
 }  // namespace
 
-void VideoSource::save_state(rtl::StateWriter& w) const {
-  w.u64(frame_idx_);
-  w.u64(pix_idx_);
-  w.i32(wait_);
-  w.u64(sent_);
+void VideoSource::visit_state(rtl::StateIO& io) {
+  io(frame_idx_, pix_idx_, wait_, sent_);
 }
 
-void VideoSource::load_state(rtl::StateReader& r) {
-  frame_idx_ = static_cast<std::size_t>(r.u64());
-  pix_idx_ = static_cast<std::size_t>(r.u64());
-  wait_ = r.i32();
-  sent_ = static_cast<std::size_t>(r.u64());
-}
-
-void VgaSink::save_state(rtl::StateWriter& w) const {
-  w.u32(static_cast<std::uint32_t>(frames_.size()));
-  for (const Frame& f : frames_) save_frame(w, f);
-  save_frame(w, current_);
-  w.u64(pix_idx_);
-  w.i32(wait_);
-  w.boolean(streaming_);
-  w.u64(received_);
-}
-
-void VgaSink::load_state(rtl::StateReader& r) {
-  const std::uint32_t n = r.u32();
-  frames_.clear();
-  frames_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) frames_.push_back(load_frame(r));
-  current_ = load_frame(r);
-  pix_idx_ = static_cast<std::size_t>(r.u64());
-  wait_ = r.i32();
-  streaming_ = r.boolean();
-  received_ = static_cast<std::size_t>(r.u64());
+void VgaSink::visit_state(rtl::StateIO& io) {
+  auto n = static_cast<std::uint32_t>(frames_.size());
+  io(n);
+  if (io.reading()) {
+    if (n > io.remaining() / kMinFrameBytes)
+      throw SnapshotError("snapshot: " + std::to_string(n) +
+                          " frame(s) cannot fit the payload");
+    frames_.assign(n, Frame{});
+  }
+  for (Frame& f : frames_) visit_frame(io, f);
+  visit_frame(io, current_);
+  io(pix_idx_, wait_, streaming_, received_);
+  // on_clock() stores the next pixel at pix_idx_.
+  if (pix_idx_ >= current_.pixel_count())
+    throw SnapshotError("snapshot: pixel index " + std::to_string(pix_idx_) +
+                        " is past the frame");
 }
 
 }  // namespace hwpat::video

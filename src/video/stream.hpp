@@ -47,8 +47,7 @@ class VideoSource : public Module {
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] bool done() const {
@@ -86,8 +85,7 @@ class VgaSink : public Module {
   void on_clock() override;
   void on_reset() override;
   void declare_state() override;
-  void save_state(rtl::StateWriter& w) const override;
-  void load_state(rtl::StateReader& r) override;
+  void visit_state(rtl::StateIO& io) override;
   void report(rtl::PrimitiveTally& t) const override;
 
   [[nodiscard]] const std::vector<Frame>& frames() const { return frames_; }

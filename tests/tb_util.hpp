@@ -85,10 +85,7 @@ class StreamFeeder : public Module {
 
   void on_reset() override { idx_ = 0; }
 
-  void save_state(rtl::StateWriter& w) const override { w.u64(idx_); }
-  void load_state(rtl::StateReader& r) override {
-    idx_ = static_cast<std::size_t>(r.u64());
-  }
+  void visit_state(rtl::StateIO& io) override { io(idx_); }
 
   [[nodiscard]] bool done() const { return idx_ >= data_.size(); }
   [[nodiscard]] std::size_t sent() const { return idx_; }
@@ -121,8 +118,7 @@ class StreamDrainer : public Module {
 
   void on_reset() override { got_.clear(); }
 
-  void save_state(rtl::StateWriter& w) const override { w.words(got_); }
-  void load_state(rtl::StateReader& r) override { r.words(got_); }
+  void visit_state(rtl::StateIO& io) override { io.word_list(got_); }
 
   [[nodiscard]] const std::vector<Word>& got() const { return got_; }
 
@@ -157,10 +153,7 @@ class FrameFeeder : public Module {
 
   void on_reset() override { idx_ = 0; }
 
-  void save_state(rtl::StateWriter& w) const override { w.u64(idx_); }
-  void load_state(rtl::StateReader& r) override {
-    idx_ = static_cast<std::size_t>(r.u64());
-  }
+  void visit_state(rtl::StateIO& io) override { io(idx_); }
 
   [[nodiscard]] bool done() const { return idx_ >= pixels_.size(); }
 

@@ -127,8 +127,7 @@ struct FuzzAccum : Module {
   }
   void on_reset() override { acc = 0; }
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override { w.word(acc); }
-  void load_state(rtl::StateReader& r) override { acc = r.word(); }
+  void visit_state(rtl::StateIO& io) override { io(acc); }
 };
 
 /// Strict sync FIFO under suppressible random pressure: the enables
@@ -209,8 +208,7 @@ struct FuzzOpaque : Module {
   void on_clock() override { state = state * 5 + a.read() + 1; }
   void on_reset() override { state = 1; }
   // deliberately NO declare_state(): opaque_state() stays true
-  void save_state(rtl::StateWriter& w) const override { w.word(state); }
-  void load_state(rtl::StateReader& r) override { state = r.word(); }
+  void visit_state(rtl::StateIO& io) override { io(state); }
 };
 
 // ------------------------------------------------------------------

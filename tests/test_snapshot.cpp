@@ -26,6 +26,13 @@
 //     that would overflow a byte-size computation, and carries the
 //     SRAM-bound saa2vga's two 2^16-word images through save, restore
 //     and reset intact.
+//   * blob bytes stay pinned per design (digests taken before the
+//     module state hooks became one visit_state() per module);
+//   * module payloads that would break the design's invariants — a
+//     FIFO ring of another depth, an arbiter counter table of another
+//     size, malformed sink frames — throw SnapshotError naming the
+//     module and leave the simulator reset and usable, and flipping
+//     any early payload byte never escapes as another exception type.
 //
 // The randomized cross-kernel half of this story lives in
 // test_fuzz_kernel.cpp (SnapshotFaultRestoreReplaysByteIdentically).
@@ -33,13 +40,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "core/algorithm.hpp"
+#include "core/assoc.hpp"
+#include "core/iterator.hpp"
+#include "core/stream_core.hpp"
+#include "core/vector.hpp"
 #include "designs/design.hpp"
+#include "designs/saa2vga_shared.hpp"
+#include "devices/arbiter.hpp"
 #include "devices/fifo.hpp"
 #include "devices/sram.hpp"
+#include "meta/factory.hpp"
 #include "rtl/clock.hpp"
 #include "rtl/simulator.hpp"
 #include "tb_util.hpp"
@@ -86,14 +102,7 @@ struct Sticky : Module {
   }
   void on_reset() override { acc = 0; }  // epoch intentionally kept
   void declare_state() override { declare_seq_state(); }
-  void save_state(rtl::StateWriter& w) const override {
-    w.word(acc);
-    w.word(epoch);
-  }
-  void load_state(rtl::StateReader& r) override {
-    acc = r.word();
-    epoch = r.word();
-  }
+  void visit_state(rtl::StateIO& io) override { io(acc, epoch); }
 };
 
 /// Self-driving strict-FIFO traffic: enables gated on the flags, so
@@ -965,6 +974,508 @@ TEST(Snapshot, SramImagesSurviveRestoreAndResetClearsThem) {
                             [](Word w) { return w == 0; }))
         << "reset() must reload the construction-time zeros";
   }
+}
+
+
+// ---------------------------------------------------------------------
+// Blob bytes pinned per design
+// ---------------------------------------------------------------------
+
+/// FNV-1a over a snapshot's bytes.
+std::uint64_t blob_digest(const rtl::Snapshot& snap) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const std::uint8_t b : snap.bytes()) {
+    h ^= b;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Snapshot of a video design after `steps` steps from reset.  The
+/// step counts in the table below stop each design with one frame
+/// collected and the next one in flight, so every stateful module
+/// holds non-reset state.
+rtl::Snapshot video_blob(designs::VideoDesign& d, int steps) {
+  Simulator sim(d, {});
+  sim.reset();
+  run_steps(sim, steps);
+  EXPECT_EQ(d.sink().frames().size(), 1u) << d.name();
+  EXPECT_FALSE(d.finished()) << d.name();
+  return sim.save_snapshot();
+}
+
+/// The container/iterator/algorithm models no video design uses: a
+/// vector under a sequential and one under a random iterator, an
+/// associative array, a width-adapted queue and a LIFO drained by a
+/// reduction.
+struct ModelTop : Module {
+  core::RandomWires va_w{*this, "va", 8, 3};
+  core::IterWires va_iw{*this, "va_it", 8, 8};
+  core::VectorContainer va{
+      this, "va",
+      {.elem_bits = 8, .length = 8, .device = devices::DeviceKind::BlockRam},
+      va_w.impl()};
+  core::VectorSeqIterator va_it{
+      this,
+      "va_it",
+      {.traversal = core::Traversal::Bidirectional,
+       .role = core::IterRole::InputOutput},
+      {.length = 8, .start_pos = 0},
+      va_w.client(),
+      va_iw.impl()};
+
+  core::RandomWires vb_w{*this, "vb", 8, 3};
+  core::IterWires vb_iw{*this, "vb_it", 8, 8};
+  core::VectorContainer vb{
+      this, "vb",
+      {.elem_bits = 8, .length = 8, .device = devices::DeviceKind::BlockRam},
+      vb_w.impl()};
+  core::VectorRandomIterator vb_it{this,
+                                   "vb_it",
+                                   {.traversal = core::Traversal::Random,
+                                    .role = core::IterRole::InputOutput},
+                                   vb_w.client(),
+                                   vb_iw.impl(),
+                                   8};
+
+  core::AssocWires aw{*this, "a", 8, 8};
+  core::AssocArrayContainer assoc{
+      this, "assoc", {.key_bits = 8, .val_bits = 8, .capacity = 16},
+      aw.impl()};
+
+  core::StreamWires q_w{*this, "q", 8, 16};
+  core::IterWires wa_in{*this, "wa_in", 24, 16};
+  core::IterWires wa_out{*this, "wa_out", 24, 16};
+  std::unique_ptr<core::Container> queue;
+  std::unique_ptr<core::Iterator> wa_it_out, wa_it_in;
+
+  core::StreamWires st_w{*this, "st", 8, 16};
+  core::IterWires st_iw{*this, "st_it", 8, 16};
+  core::AlgoWires red_ctl{*this, "red"};
+  Bus result{*this, "result", 16};
+  core::CoreStreamContainer stack{this,
+                                  "stack",
+                                  {.kind = core::ContainerKind::Stack,
+                                   .elem_bits = 8,
+                                   .depth = 16},
+                                  st_w.impl()};
+  core::StreamInputIterator st_it{this,
+                                  "st_it",
+                                  {.traversal = core::Traversal::Backward,
+                                   .role = core::IterRole::Input},
+                                  core::ContainerKind::Stack,
+                                  st_w.consumer(),
+                                  st_iw.impl()};
+  core::ReduceFsm reduce{this,
+                         "reduce",
+                         {.count = 6,
+                          .in_advance = core::Op::Dec,
+                          .op = core::ops_lib::sum(16)},
+                         st_iw.client(),
+                         result,
+                         red_ctl.control()};
+  tb::StreamFeeder feeder{this, "feeder", st_w.producer(),
+                          {3, 1, 4, 1, 5, 9}};
+
+  ModelTop() : Module(nullptr, "models") {
+    meta::ContainerSpec cs;
+    cs.name = "wq";
+    cs.kind = core::ContainerKind::Queue;
+    cs.device = devices::DeviceKind::FifoCore;
+    cs.elem_bits = 24;
+    cs.bus_bits = 8;
+    cs.depth = 16;
+    queue = meta::build_stream_container(
+        this, cs, meta::StreamBuildPorts{.method = q_w.impl()});
+    wa_it_out = meta::build_output_iterator(
+        this,
+        {.name = "wit",
+         .traversal = core::Traversal::Forward,
+         .role = core::IterRole::Output,
+         .used_ops = {},
+         .container = cs},
+        q_w.producer(), wa_out.impl());
+    wa_it_in = meta::build_input_iterator(
+        this,
+        {.name = "rit",
+         .traversal = core::Traversal::Forward,
+         .role = core::IterRole::Input,
+         .used_ops = {},
+         .container = cs},
+        q_w.consumer(), wa_in.impl());
+  }
+};
+
+/// One strobe on `bit` around a single step.
+void strobe(Simulator& sim, Bit& bit) {
+  bit.write(true);
+  sim.step();
+  bit.write(false);
+}
+
+/// Drives every model of ModelTop through a fixed script and leaves
+/// the reduction, the width adapter and the associative array mid-way.
+rtl::Snapshot model_blob() {
+  ModelTop t;
+  Simulator sim(t, {});
+  sim.reset();
+  const auto ready = [&](const Bit& b) {
+    tb::step_until(sim, [&] { return b.read(); }, 1000);
+  };
+  // Sequential iterator: write two elements, then step back once.
+  for (const Word v : {Word{0xA1}, Word{0xB2}}) {
+    ready(t.va_iw.ready);
+    t.va_iw.wdata.write(v);
+    t.va_iw.inc.write(true);
+    strobe(sim, t.va_iw.write);
+    t.va_iw.inc.write(false);
+  }
+  ready(t.va_iw.ready);
+  strobe(sim, t.va_iw.dec);
+  // Random iterator: index 5, write there, index 3.
+  ready(t.vb_iw.ready);
+  t.vb_iw.index_pos.write(5);
+  strobe(sim, t.vb_iw.index_op);
+  ready(t.vb_iw.ready);
+  t.vb_iw.wdata.write(0x55);
+  strobe(sim, t.vb_iw.write);
+  ready(t.vb_iw.ready);
+  t.vb_iw.index_pos.write(3);
+  strobe(sim, t.vb_iw.index_op);
+  // Associative array: two colliding keys, then a lookup left running.
+  for (const Word k : {Word{3}, Word{19}}) {
+    ready(t.aw.ready);
+    t.aw.key.write(k);
+    t.aw.wdata.write(k * 2);
+    strobe(sim, t.aw.op_insert);
+    tb::step_until(sim, [&] { return t.aw.done.read(); }, 1000);
+  }
+  ready(t.aw.ready);
+  t.aw.key.write(19);
+  strobe(sim, t.aw.op_lookup);
+  // Width adapter: two 24-bit pixels through the 8-bit queue, one of
+  // them read back.
+  for (const Word px : {Word{0xAABBCC}, Word{0x112233}}) {
+    ready(t.wa_out.ready);
+    t.wa_out.wdata.write(px);
+    t.wa_out.inc.write(true);
+    strobe(sim, t.wa_out.write);
+    t.wa_out.inc.write(false);
+  }
+  ready(t.wa_in.rvalid);
+  t.wa_in.inc.write(true);
+  strobe(sim, t.wa_in.read);
+  t.wa_in.inc.write(false);
+  // Stack: fill it, then start the reduction and stop it half-way.
+  tb::step_until(sim, [&] { return t.feeder.done(); }, 1000);
+  strobe(sim, t.red_ctl.start);
+  run_steps(sim, 4);
+  EXPECT_FALSE(t.red_ctl.done.read());
+  return sim.save_snapshot();
+}
+
+TEST(SnapshotFormat, BlobDigestsArePinnedPerDesign) {
+  // Together these cover every module class with internal state.  The
+  // digests were taken before the module state hooks were rewritten;
+  // the blob format has not changed since, so neither may they.
+  const designs::Saa2VgaConfig s{
+      .width = 8, .height = 6, .buffer_depth = 16, .frames = 2};
+  designs::Saa2VgaConfig s_sram = s;
+  s_sram.device = designs::DeviceKind::Sram;
+  const designs::BlurConfig b{
+      .width = 8, .height = 6, .out_fifo_depth = 16, .frames = 2};
+  const designs::Saa2VgaDualClkConfig dual{
+      .width = 8, .height = 6, .cdc_depth = 4, .frames = 2};
+  const designs::Saa2VgaTriClkConfig tri{
+      .width = 8, .height = 6, .cdc_depth = 4, .frames = 2};
+  struct Case {
+    const char* name;
+    std::function<rtl::Snapshot()> blob;
+    std::uint64_t digest;
+  };
+  const auto video = [](auto make, int steps) {
+    return [make, steps] {
+      auto d = make();
+      return video_blob(*d, steps);
+    };
+  };
+  const std::vector<Case> cases = {
+      {"saa2vga_fifo",
+       video([&] { return designs::make_saa2vga_pattern(s); }, 70),
+       0xc176f7fe18b67557ull},
+      {"saa2vga_sram",
+       video([&] { return designs::make_saa2vga_pattern(s_sram); }, 200),
+       0x81da5434c98712cfull},
+      {"saa2vga_custom_sram",
+       video([&] { return designs::make_saa2vga_custom(s_sram); }, 350),
+       0x47936d489d2b9e88ull},
+      {"saa2vga_shared",
+       video([&] { return designs::make_saa2vga_shared(s_sram); }, 420),
+       0x5ecbedf30e3fddd4ull},
+      {"saa2vga_dualclk",
+       video([&] { return designs::make_saa2vga_dualclk(dual); }, 200),
+       0xe1be5f7a1bf7a7d0ull},
+      {"saa2vga_triclk",
+       video([&] { return designs::make_saa2vga_triclk(tri); }, 250),
+       0x35daa1bc55821852ull},
+      {"blur_pattern",
+       video([&] { return designs::make_blur_pattern(b); }, 70),
+       0xce38276078839bd7ull},
+      {"blur_custom",
+       video([&] { return designs::make_blur_custom(b); }, 70),
+       0x1251eb14ec1938bbull},
+      {"models", model_blob, 0xcb505018e2292fdaull},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const rtl::Snapshot snap = c.blob();
+    EXPECT_EQ(blob_digest(snap), c.digest)
+        << std::hex << "0x" << blob_digest(snap) << " (" << std::dec
+        << snap.size_bytes() << " bytes)";
+  }
+}
+
+
+// ---------------------------------------------------------------------
+// Corrupted module payloads
+// ---------------------------------------------------------------------
+
+/// Where one module's payload sits inside a blob.
+struct Payload {
+  Module* module;
+  std::size_t at;   ///< offset of the first payload byte
+  std::size_t len;  ///< payload bytes (the u32 length sits just before)
+};
+
+/// Every module's payload in `blob`, in elaboration order.  The module
+/// section closes the blob, so walking back from its end with each
+/// module's own re-encoded payload length finds every frame; the design
+/// must be in the state the blob was saved from.
+std::vector<Payload> module_payloads(Module& top,
+                                     const std::vector<std::uint8_t>& blob) {
+  std::vector<Module*> mods;
+  top.visit([&](Module& m) { mods.push_back(&m); });
+  std::vector<Payload> out(mods.size());
+  std::size_t end = blob.size();
+  for (std::size_t i = mods.size(); i-- > 0;) {
+    rtl::StateWriter w;
+    rtl::StateIO io(w);
+    mods[i]->visit_state(io);
+    const std::size_t len = w.size();
+    const std::size_t at = end - len;
+    std::uint32_t framed = 0;
+    for (int k = 0; k < 4; ++k)
+      framed |= static_cast<std::uint32_t>(blob[at - 4 + k]) << (8 * k);
+    EXPECT_EQ(framed, len) << "payload walk drifted at "
+                           << mods[i]->full_name();
+    out[i] = {mods[i], at, len};
+    end = at - 4;
+  }
+  return out;
+}
+
+/// `blob` with `p`'s payload replaced by `bytes` and its length frame
+/// rewritten to match.
+rtl::Snapshot with_payload(const std::vector<std::uint8_t>& blob,
+                           const Payload& p,
+                           const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t> out(blob.begin(), blob.begin() + (p.at - 4));
+  for (int k = 0; k < 4; ++k)
+    out.push_back(static_cast<std::uint8_t>(bytes.size() >> (8 * k)));
+  out.insert(out.end(), bytes.begin(), bytes.end());
+  out.insert(out.end(), blob.begin() + (p.at + p.len), blob.end());
+  return rtl::Snapshot(std::move(out));
+}
+
+/// The payload of the first module of type `M` in `pays`.
+template <typename M>
+Payload payload_of(const std::vector<Payload>& pays) {
+  for (const Payload& p : pays)
+    if (dynamic_cast<M*>(p.module) != nullptr) return p;
+  ADD_FAILURE() << "no such module";
+  return pays.front();
+}
+
+/// After a failed restore the simulator sits at construction state and
+/// runs `d` to the same frames as a fresh instance built by `make`.
+void expect_reset_and_deterministic(
+    Simulator& sim, designs::VideoDesign& d,
+    const std::function<std::unique_ptr<designs::VideoDesign>()>& make) {
+  EXPECT_EQ(sim.cycle(), 0u);
+  auto ref = make();
+  Simulator ref_sim(*ref, {});
+  ref_sim.reset();
+  int steps = 0;
+  while (!ref->finished() && steps < 100'000) {
+    ref_sim.step();
+    ++steps;
+  }
+  ASSERT_TRUE(ref->finished());
+  run_steps(sim, steps);
+  EXPECT_TRUE(d.finished());
+  EXPECT_EQ(d.sink().frames(), ref->sink().frames());
+}
+
+/// Restoring `snap` must throw SnapshotError mentioning every string in
+/// `want`, and reset the simulator.
+void expect_restore_rejects(Simulator& sim, const rtl::Snapshot& snap,
+                            const std::vector<std::string>& want) {
+  try {
+    sim.restore_snapshot(snap);
+    ADD_FAILURE() << "restore accepted a corrupted payload";
+  } catch (const SnapshotError& e) {
+    for (const std::string& w : want) EXPECT_THAT(e.what(), HasSubstr(w));
+    EXPECT_THAT(e.what(), HasSubstr("reset to construction state"));
+  }
+}
+
+TEST(Snapshot, FifoDepthMismatchIsRejected) {
+  // Depths 48 and 64 elaborate to the same topology hash: only the
+  // FIFO storage size tells the blobs apart, and a 48-word ring
+  // restored under a depth-64 FIFO would be written past its end.
+  designs::Saa2VgaConfig cfg{.width = 8, .height = 6, .buffer_depth = 48};
+  auto small = designs::make_saa2vga_pattern(cfg);
+  Simulator small_sim(*small, {});
+  small_sim.reset();
+  run_steps(small_sim, 30);
+  const rtl::Snapshot blob = small_sim.save_snapshot();
+
+  cfg.buffer_depth = 64;
+  const auto make = [cfg] { return designs::make_saa2vga_pattern(cfg); };
+  auto big = make();
+  Simulator sim(*big, {});
+  ASSERT_EQ(sim.topology_hash(), small_sim.topology_hash());
+  sim.reset();
+  run_steps(sim, 10);
+  const Payload fifo = payload_of<devices::FifoCore>(
+      module_payloads(*small, blob.bytes()));
+  expect_restore_rejects(
+      sim, blob,
+      {"module '" + fifo.module->full_name() + "'",
+       "word vector of 48 word(s) in the blob, 64 in the design"});
+  expect_reset_and_deterministic(sim, *big, make);
+}
+
+TEST(Snapshot, ArbiterGrantCountMismatchIsRejected) {
+  const designs::Saa2VgaConfig cfg{
+      .width = 8, .height = 6, .device = designs::DeviceKind::Sram};
+  const auto make = [cfg] { return designs::make_saa2vga_shared(cfg); };
+  auto d = make();
+  Simulator sim(*d, {});
+  sim.reset();
+  run_steps(sim, 40);
+  const std::vector<std::uint8_t> blob = sim.save_snapshot().bytes();
+  const Payload arb =
+      payload_of<devices::SramArbiter>(module_payloads(*d, blob));
+  // grant i64 | rr_next i64 | count u32 | one u64 per master.
+  ASSERT_EQ(arb.len, 8 + 8 + 4 + 8 * 2u);
+  for (const std::uint32_t count : {0u, 1u, 3u}) {
+    SCOPED_TRACE(count);
+    rtl::StateWriter w;
+    w.i64(-1);
+    w.i64(0);
+    w.u32(count);
+    for (std::uint32_t i = 0; i < count; ++i) w.u64(i);
+    expect_restore_rejects(
+        sim, with_payload(blob, arb, std::move(w).take()),
+        {"grant counter count mismatch (blob has " + std::to_string(count) +
+             ", design has 2)",
+         arb.module->full_name()});
+  }
+  expect_reset_and_deterministic(sim, *d, make);
+}
+
+TEST(Snapshot, MalformedSinkFramesAreRejected) {
+  const designs::Saa2VgaConfig cfg{.width = 8, .height = 6};
+  const auto make = [cfg] { return designs::make_saa2vga_pattern(cfg); };
+  auto d = make();
+  Simulator sim(*d, {});
+  sim.reset();
+  run_steps(sim, 20);
+  const std::vector<std::uint8_t> blob = sim.save_snapshot().bytes();
+  const Payload sink =
+      payload_of<video::VgaSink>(module_payloads(*d, blob));
+  // A sink payload with no collected frames and `current` as given.
+  const auto sink_payload = [](std::uint32_t frames, std::int64_t w,
+                               std::int64_t h, std::int64_t ch,
+                               std::uint64_t words, std::uint64_t pix = 0) {
+    rtl::StateWriter out;
+    out.u32(frames);
+    out.i64(w);
+    out.i64(h);
+    out.i64(ch);
+    out.u64(words);
+    for (int i = 0; i < 48; ++i) out.u64(0);  // `words` claims these
+    out.u64(pix);    // pix_idx
+    out.i64(0);      // wait
+    out.u8(0);       // streaming
+    out.u64(0);      // received
+    return std::move(out).take();
+  };
+  struct Case {
+    const char* name;
+    std::vector<std::uint8_t> payload;
+    std::string want;
+  };
+  const std::vector<Case> cases = {
+      {"negative width", sink_payload(0, -1, 6, 1, 48),
+       "invalid frame dims -1x6x1"},
+      {"zero height", sink_payload(0, 8, 0, 1, 0), "invalid frame dims 8x0x1"},
+      {"two channels", sink_payload(0, 8, 6, 2, 48),
+       "invalid frame dims 8x6x2"},
+      {"int overflow", sink_payload(0, std::int64_t{1} << 40, 6, 1, 48),
+       "int field holds"},
+      {"4x4 frame without pixels", sink_payload(0, 4, 4, 1, 0),
+       "a 4x4x1 frame with 0 pixel word(s)"},
+      {"frame larger than the payload",
+       sink_payload(0, 1 << 30, 1 << 30, 3, std::uint64_t{1} << 60),
+       "overruns the payload"},
+      {"frame count larger than the payload",
+       sink_payload(0xFFFFFFFFu, 8, 6, 1, 48), "cannot fit the payload"},
+      {"pixel index past the frame", sink_payload(0, 8, 6, 1, 48, 48),
+       "pixel index 48 is past the frame"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    expect_restore_rejects(sim, with_payload(blob, sink, c.payload),
+                           {c.want, sink.module->full_name()});
+  }
+  // The well-formed original still restores.
+  sim.restore_snapshot(rtl::Snapshot(blob));
+  EXPECT_EQ(sim.save_snapshot().bytes(), blob);
+  sim.reset();
+  expect_reset_and_deterministic(sim, *d, make);
+}
+
+TEST(Snapshot, FlippedPayloadBytesRestoreOrThrowSnapshotError) {
+  // Flip each of the first 64 bytes of every module payload in turn:
+  // the restore may accept the bytes (not every field value is
+  // checkable) but may fail only with SnapshotError.
+  const designs::Saa2VgaConfig cfg{
+      .width = 8, .height = 6, .device = designs::DeviceKind::Sram};
+  auto d = designs::make_saa2vga_shared(cfg);
+  Simulator sim(*d, {});
+  sim.reset();
+  run_steps(sim, 420);
+  const std::vector<std::uint8_t> blob = sim.save_snapshot().bytes();
+  int rejected = 0, accepted = 0;
+  for (const Payload& p : module_payloads(*d, blob)) {
+    for (std::size_t i = 0; i < std::min<std::size_t>(p.len, 64); ++i) {
+      std::vector<std::uint8_t> bad = blob;
+      bad[p.at + i] ^= 0xFF;
+      try {
+        sim.restore_snapshot(rtl::Snapshot(std::move(bad)));
+        ++accepted;
+      } catch (const SnapshotError&) {
+        ++rejected;
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << p.module->full_name() << " byte " << i << ": "
+                      << e.what();
+      }
+    }
+  }
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(accepted, 0);
 }
 
 }  // namespace
