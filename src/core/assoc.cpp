@@ -233,8 +233,9 @@ void AssocArrayContainer::report(rtl::PrimitiveTally& t) const {
 
 
 void AssocArrayContainer::visit_state(rtl::StateIO& io) {
-  io(state_, op_, key_, val_, slot_, first_free_, have_free_, probes_,
-     occupancy_);
+  io.bounded(state_, State::Idle, State::Finish, "state");
+  io.bounded(op_, OpKind::Insert, OpKind::Remove, "operation");
+  io(key_, val_, slot_, first_free_, have_free_, probes_, occupancy_);
 }
 
 }  // namespace hwpat::core

@@ -183,7 +183,11 @@ void SramStreamContainer::report(rtl::PrimitiveTally& t) const {
 
 
 void SramStreamContainer::visit_state(rtl::StateIO& io) {
-  io(state_, head_, tail_, count_, front_, front_valid_, wpend_, wreg_);
+  io.bounded(state_, State::Idle, State::Fetch, "state");
+  io.bounded(head_, 0, cfg_.capacity - 1, "head index");
+  io.bounded(tail_, 0, cfg_.capacity, "tail index");
+  io.bounded(count_, 0, cfg_.capacity, "element count");
+  io(front_, front_valid_, wpend_, wreg_);
 }
 
 }  // namespace hwpat::core

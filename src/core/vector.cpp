@@ -164,7 +164,7 @@ void VectorContainer::report(rtl::PrimitiveTally& t) const {
 
 
 void VectorContainer::visit_state(rtl::StateIO& io) {
-  io(state_);
+  io.bounded(state_, State::Idle, State::SramWrite, "state");
 }
 
 }  // namespace hwpat::core

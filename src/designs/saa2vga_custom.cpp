@@ -266,9 +266,11 @@ bool Saa2VgaCustomSram::finished() const {
 
 
 void Saa2VgaCustomSram::visit_state(rtl::StateIO& io) {
-  for (MemCtl* m : {&in_ctl_, &out_ctl_})
-    io(m->state, m->head, m->tail, m->count, m->wlatch, m->wpend, m->front,
+  for (MemCtl* m : {&in_ctl_, &out_ctl_}) {
+    io.bounded(m->state, State::Idle, State::Fetch, "state");
+    io(m->head, m->tail, m->count, m->wlatch, m->wpend, m->front,
        m->front_valid, m->base);
+  }
 }
 
 }  // namespace hwpat::designs

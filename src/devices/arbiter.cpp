@@ -97,7 +97,8 @@ void SramArbiter::report(rtl::PrimitiveTally& t) const {
 
 
 void SramArbiter::visit_state(rtl::StateIO& io) {
-  io(grant_, rr_next_);
+  io.bounded(grant_, -1, num_masters() - 1, "grant");
+  io.bounded(rr_next_, 0, num_masters() - 1, "round-robin pointer");
   // One counter per master: a blob with any other count would leave
   // the next grant indexing past the table.
   io.count(grant_counts_.size(), "grant counter");

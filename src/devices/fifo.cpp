@@ -103,7 +103,9 @@ void FifoCore::report(rtl::PrimitiveTally& t) const {
 
 
 void FifoCore::visit_state(rtl::StateIO& io) {
-  io(head_, count_, mem_);
+  io.bounded(head_, 0, cfg_.depth - 1, "head index");
+  io.bounded(count_, 0, cfg_.depth, "element count");
+  io(mem_);
 }
 
 }  // namespace hwpat::devices

@@ -101,7 +101,8 @@ void LifoCore::report(rtl::PrimitiveTally& t) const {
 
 
 void LifoCore::visit_state(rtl::StateIO& io) {
-  io(count_, mem_);
+  io.bounded(count_, 0, cfg_.depth, "stack pointer");
+  io(mem_);
 }
 
 }  // namespace hwpat::devices

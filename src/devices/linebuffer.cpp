@@ -105,7 +105,11 @@ void LineBuffer3::report(rtl::PrimitiveTally& t) const {
 
 
 void LineBuffer3::visit_state(rtl::StateIO& io) {
-  io(line1_, line2_, colq_, colq_head_, colq_count_, wr_x_, wr_y_);
+  io(line1_, line2_, colq_);
+  io.bounded(colq_head_, 0, cfg_.col_fifo_depth - 1, "column queue head");
+  io.bounded(colq_count_, 0, cfg_.col_fifo_depth, "column queue count");
+  io.bounded(wr_x_, 0, cfg_.line_width - 1, "write column");
+  io(wr_y_);
 }
 
 }  // namespace hwpat::devices

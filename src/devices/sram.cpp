@@ -75,7 +75,8 @@ void ExternalSram::on_reset() {
 
 
 void ExternalSram::visit_state(rtl::StateIO& io) {
-  io(state_, countdown_, mem_);
+  io.bounded(state_, State::Idle, State::Turnaround, "state");
+  io(countdown_, mem_);
 }
 
 }  // namespace hwpat::devices

@@ -60,7 +60,7 @@ Simulator::Simulator(Module& top, Options opt)
     // Construction-time module states, so reset() after a restored
     // snapshot returns to construction values (not snapshot values).
     StateWriter w;
-    save_module_states(w);
+    save_module_states(w, StateIO::Encoding::Baseline);
     baseline_ = std::move(w).take();
   }
 }
@@ -746,7 +746,7 @@ void Simulator::reset() {
     // crash, even for modules whose on_reset() deliberately preserves
     // some state.
     StateReader r(baseline_);
-    load_module_states(r);
+    load_module_states(r, StateIO::Encoding::Baseline);
   }
   std::fill_n(mod_dirty_, modules_.size(), static_cast<unsigned char>(0));
   for (Module* m : modules_) {

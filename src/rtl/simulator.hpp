@@ -548,12 +548,13 @@ class Simulator {
   /// edges and the stats counters (shared by save and restore).
   void visit_scheduler(StateIO& io);
   /// Length-framed visit_state payload of every module (shared by
-  /// save_snapshot and the construction-time baseline).
-  void save_module_states(StateWriter& w) const;
-  /// Reads what save_module_states wrote: throws SnapshotError (with
-  /// the module path) when a payload is malformed or its length does
-  /// not match what the module's visit_state() read.
-  void load_module_states(StateReader& r);
+  /// save_snapshot, in Blob encoding, and the construction-time
+  /// baseline, in Baseline encoding).
+  void save_module_states(StateWriter& w, StateIO::Encoding enc) const;
+  /// Reads what save_module_states wrote in the same encoding: throws
+  /// SnapshotError (with the module path) when a payload is malformed
+  /// or its length does not match what the module's visit_state() read.
+  void load_module_states(StateReader& r, StateIO::Encoding enc);
 
   /// Fault-injection hook.  The fast path is one enum compare (plans
   /// are rare); the slow path applies the step window and occurrence
@@ -660,6 +661,9 @@ class Simulator {
   /// Every module's visit_state payload captured at construction, so
   /// reset() — after a restore, a crash, or an ordinary run — returns
   /// to construction-time state, not whatever the modules drifted to.
+  /// An internal encoding (StateIO::Encoding::Baseline): an all-zero
+  /// storage array is one flag byte, so an SRAM-bound design's idle
+  /// 2^16-word images are not copied.  Snapshot blobs are unaffected.
   std::vector<std::uint8_t> baseline_;
 
   // Fault-injection state (Options::fault_plan).

@@ -101,9 +101,10 @@ void Simulator::visit_scheduler(StateIO& io) {
   for (std::uint64_t& v : stats_.domain_edges) io(v);
 }
 
-void Simulator::save_module_states(StateWriter& w) const {
+void Simulator::save_module_states(StateWriter& w,
+                                   StateIO::Encoding enc) const {
   w.u32(static_cast<std::uint32_t>(modules_.size()));
-  StateIO io(w);
+  StateIO io(w, enc);
   for (Module* m : modules_) {
     const std::size_t at = w.mark_u32();
     m->visit_state(io);
@@ -111,7 +112,7 @@ void Simulator::save_module_states(StateWriter& w) const {
   }
 }
 
-void Simulator::load_module_states(StateReader& r) {
+void Simulator::load_module_states(StateReader& r, StateIO::Encoding enc) {
   const std::uint32_t n = r.u32();
   if (n != modules_.size())
     throw SnapshotError("snapshot: module count mismatch (blob has " +
@@ -127,7 +128,7 @@ void Simulator::load_module_states(StateReader& r) {
     // The module reads only its own framed bytes: an over-read throws
     // inside the frame instead of consuming the next module's payload.
     StateReader payload = r.slice(len, "module payload");
-    StateIO io(payload);
+    StateIO io(payload, enc);
     try {
       m->visit_state(io);
     } catch (const SnapshotError& e) {
@@ -195,7 +196,7 @@ Snapshot Simulator::save_snapshot() const {
       w.u32(static_cast<std::uint32_t>(fan_pool_[fb + k]));
   }
   // Module payloads, length-framed.
-  save_module_states(w);
+  save_module_states(w, StateIO::Encoding::Blob);
   std::vector<std::uint8_t> bytes = std::move(w).take();
   if (telem_ != nullptr)
     telem_->add(TracePhase::SnapshotSave, t0, telem_->now_ns(),
@@ -305,7 +306,7 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     std::fill_n(mod_dirty_, nmod, static_cast<unsigned char>(0));
     for (Module* m : modules_) m->seq_touched_ = false;
     // Module payloads.
-    load_module_states(r);
+    load_module_states(r, StateIO::Encoding::Blob);
     if (r.remaining() != 0)
       throw SnapshotError("snapshot: " + std::to_string(r.remaining()) +
                   " trailing byte(s) after the last module payload — "

@@ -24,6 +24,7 @@
 // it, so the two can no longer drift apart.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstddef>
@@ -238,20 +239,53 @@ class StateReader {
 /// a StateWriter it saves each field it is handed, over a StateReader
 /// it overwrites each field from the blob, so `io(head_, count_, mem_)`
 /// is both halves.  Encodings by field type: int i64; Word, uint64_t
-/// and size_t u64; uint32_t and enums u32; bool u8; std::vector<Word> a
-/// u64 count and a block, where the count must equal the vector's size
-/// (storage is sized at construction).  Reading throws SnapshotError on
-/// a truncated payload, an out-of-range int or a mismatched count.
+/// and size_t u64; uint32_t u32; bool u8; std::vector<Word> a u64
+/// count and a block, where the count must equal the vector's size
+/// (storage is sized at construction).  Index fields and enums go
+/// through bounded() instead.  Reading throws SnapshotError on a
+/// truncated payload, an out-of-range int or a mismatched count.
 class StateIO {
  public:
-  explicit StateIO(StateWriter& w) : w_(&w) {}
-  explicit StateIO(StateReader& r) : r_(&r) {}
+  /// Blob is the snapshot format.  Baseline is the simulator's private
+  /// construction-time image that reset() reloads: the same encoding,
+  /// except that a fixed word array that is all zero is one flag byte
+  /// instead of its block, so an idle 2^16-word SRAM costs one byte.
+  /// Baseline bytes never leave the simulator.
+  enum class Encoding : bool { Blob, Baseline };
+
+  explicit StateIO(StateWriter& w, Encoding e = Encoding::Blob)
+      : w_(&w), baseline_(e == Encoding::Baseline) {}
+  explicit StateIO(StateReader& r, Encoding e = Encoding::Blob)
+      : r_(&r), baseline_(e == Encoding::Baseline) {}
 
   [[nodiscard]] bool reading() const { return r_ != nullptr; }
 
   template <typename... Ts>
   void operator()(Ts&... fields) {
     (field(fields), ...);
+  }
+
+  /// A field whose value must lie in [lo, hi]: an index or count into
+  /// storage sized by the design, or an enum up to its last enumerator.
+  /// Same encoding as the plain field; reading throws SnapshotError
+  /// when the blob's value is out of range, before anything indexes
+  /// with it.
+  template <typename T>
+  void bounded(T& v, std::type_identity_t<T> lo, std::type_identity_t<T> hi,
+               const char* what) {
+    if constexpr (std::is_enum_v<T>) {
+      auto u = static_cast<std::uint32_t>(v);
+      bounded(u, static_cast<std::uint32_t>(lo),
+              static_cast<std::uint32_t>(hi), what);
+      v = static_cast<T>(u);
+    } else {
+      field(v);
+      if (reading() && (v < lo || v > hi))
+        throw SnapshotError("snapshot: " + std::string(what) + " holds " +
+                            std::to_string(v) + ", outside [" +
+                            std::to_string(lo) + ", " + std::to_string(hi) +
+                            "]");
+    }
   }
 
   /// A u32 element count fixed by the design (one entry per arbiter
@@ -315,15 +349,17 @@ class StateIO {
     else w_->u64(v);
   }
 
-  template <typename E>
-    requires std::is_enum_v<E>
-  void field(E& v) {
-    auto u = static_cast<std::uint32_t>(v);
-    field(u);
-    v = static_cast<E>(u);
-  }
-
   void field(std::vector<Word>& v) {
+    if (baseline_) {
+      // Flag byte: 1 when the full encoding follows, 0 for all zeros.
+      bool block = !reading() && std::ranges::any_of(
+                                     v, [](Word x) { return x != 0; });
+      field(block);
+      if (!block) {
+        if (reading()) std::ranges::fill(v, Word{0});
+        return;
+      }
+    }
     std::uint64_t n = v.size();
     field(n);
     if (n != v.size())
@@ -335,6 +371,7 @@ class StateIO {
 
   StateWriter* w_ = nullptr;
   StateReader* r_ = nullptr;
+  bool baseline_ = false;
 };
 
 }  // namespace hwpat::rtl

@@ -183,7 +183,12 @@ void visit_frame(rtl::StateIO& io, Frame& f) {
 }  // namespace
 
 void VideoSource::visit_state(rtl::StateIO& io) {
-  io(frame_idx_, pix_idx_, wait_, sent_);
+  io.bounded(frame_idx_, 0, frames_.size(), "frame index");
+  // Past the last frame (no loop) the pixel index rests at 0.
+  const std::size_t pixels =
+      frame_idx_ < frames_.size() ? frames_[frame_idx_].pixel_count() : 1;
+  io.bounded(pix_idx_, 0, pixels - 1, "pixel index");
+  io(wait_, sent_);
 }
 
 void VgaSink::visit_state(rtl::StateIO& io) {

@@ -33,6 +33,12 @@
 //     size, malformed sink frames — throw SnapshotError naming the
 //     module and leave the simulator reset and usable, and flipping
 //     any early payload byte never escapes as another exception type.
+//   * every restored index or count into design-sized storage, and
+//     every enum, is range-checked: one corrupted field throws
+//     SnapshotError and reset() recovers to a fresh instance's state.
+//   * the reset baseline keeps an all-zero storage array as one flag:
+//     reset() after SRAM writes restores the zeros, and a preload made
+//     before the simulator was built survives run and reset.
 //
 // The randomized cross-kernel half of this story lives in
 // test_fuzz_kernel.cpp (SnapshotFaultRestoreReplaysByteIdentically).
@@ -52,8 +58,13 @@
 #include "core/vector.hpp"
 #include "designs/design.hpp"
 #include "designs/saa2vga_shared.hpp"
+#include "core/stream_sram.hpp"
+#include "designs/saa2vga_custom.hpp"
 #include "devices/arbiter.hpp"
+#include "devices/bram.hpp"
 #include "devices/fifo.hpp"
+#include "devices/lifo.hpp"
+#include "devices/linebuffer.hpp"
 #include "devices/sram.hpp"
 #include "meta/factory.hpp"
 #include "rtl/clock.hpp"
@@ -1476,6 +1487,291 @@ TEST(Snapshot, FlippedPayloadBytesRestoreOrThrowSnapshotError) {
   }
   EXPECT_GT(rejected, 0);
   EXPECT_GT(accepted, 0);
+}
+
+
+// ---------------------------------------------------------------------
+// Out-of-range index and enum fields
+// ---------------------------------------------------------------------
+
+/// Every module's visit_state bytes, in elaboration order.
+std::vector<std::uint8_t> module_states(Module& top) {
+  rtl::StateWriter w;
+  rtl::StateIO io(w);
+  top.visit([&](Module& m) { m.visit_state(io); });
+  return std::move(w).take();
+}
+
+/// `bytes` with the `width`-byte little-endian field at `at` set to `v`.
+std::vector<std::uint8_t> with_field(std::vector<std::uint8_t> bytes,
+                                     std::size_t at, int width,
+                                     std::int64_t v) {
+  for (int k = 0; k < width; ++k)
+    bytes[at + static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(
+        static_cast<std::uint64_t>(v) >> (8 * k));
+  return bytes;
+}
+
+TEST(Snapshot, OutOfRangeIndexAndEnumFieldsAreRejected) {
+  const designs::Saa2VgaConfig fifo{
+      .width = 8, .height = 6, .buffer_depth = 16};
+  designs::Saa2VgaConfig sram = fifo;
+  sram.device = designs::DeviceKind::Sram;
+  const designs::BlurConfig blur{.width = 8, .height = 6};
+  using Make = std::function<std::unique_ptr<Module>()>;
+  const Make saa2vga = [fifo] { return designs::make_saa2vga_pattern(fifo); };
+  const Make saa2vga_sram = [sram] {
+    return designs::make_saa2vga_pattern(sram);
+  };
+  const Make custom_sram = [sram] {
+    return designs::make_saa2vga_custom(sram);
+  };
+  const Make shared = [sram] { return designs::make_saa2vga_shared(sram); };
+  const Make blur_pattern = [blur] {
+    return designs::make_blur_pattern(blur);
+  };
+  const Make models = [] { return std::make_unique<ModelTop>(); };
+  using Find = std::function<Payload(const std::vector<Payload>&)>;
+  struct Case {
+    const char* name;
+    Make make;
+    int steps;  ///< from reset to the valid blob
+    Find find;
+    /// Offset of the field in the payload; negative counts from its end.
+    std::ptrdiff_t at;
+    int width;  ///< 8 for an i64/u64 field, 4 for an enum's u32
+    std::int64_t value;
+    std::string want;
+  };
+  const std::vector<Case> cases = {
+      {"FifoCore head", saa2vga, 40, payload_of<devices::FifoCore>, 0, 8, 16,
+       "head index holds 16, outside [0, 15]"},
+      {"FifoCore count", saa2vga, 40, payload_of<devices::FifoCore>, 8, 8, 17,
+       "element count holds 17, outside [0, 16]"},
+      {"LifoCore count", models, 0, payload_of<devices::LifoCore>, 0, 8, 17,
+       "stack pointer holds 17, outside [0, 16]"},
+      {"VideoSource frame", saa2vga, 40, payload_of<video::VideoSource>, 0, 8,
+       2, "frame index holds 2, outside [0, 1]"},
+      {"VideoSource pixel", saa2vga, 40, payload_of<video::VideoSource>, 8, 8,
+       48, "pixel index holds 48, outside [0, 47]"},
+      {"LineBuffer3 queue head", blur_pattern, 40,
+       payload_of<devices::LineBuffer3>, -32, 8, 4,
+       "column queue head holds 4, outside [0, 3]"},
+      {"LineBuffer3 queue count", blur_pattern, 40,
+       payload_of<devices::LineBuffer3>, -24, 8, -1,
+       "column queue count holds -1, outside [0, 4]"},
+      {"LineBuffer3 write column", blur_pattern, 40,
+       payload_of<devices::LineBuffer3>, -16, 8, 8,
+       "write column holds 8, outside [0, 7]"},
+      {"SramStreamContainer state", saa2vga_sram, 60,
+       payload_of<core::SramStreamContainer>, 0, 4, 3,
+       "state holds 3, outside [0, 2]"},
+      {"SramStreamContainer head", saa2vga_sram, 60,
+       payload_of<core::SramStreamContainer>, 4, 8, -1,
+       "head index holds -1, outside [0, "},
+      {"SramStreamContainer tail", saa2vga_sram, 60,
+       payload_of<core::SramStreamContainer>, 12, 8, std::int64_t{1} << 20,
+       "tail index holds 1048576, outside [0, "},
+      {"SramStreamContainer count", saa2vga_sram, 60,
+       payload_of<core::SramStreamContainer>, 20, 8, -1,
+       "element count holds -1, outside [0, "},
+      {"ExternalSram state", saa2vga_sram, 60,
+       payload_of<devices::ExternalSram>, 0, 4, 3,
+       "state holds 3, outside [0, 2]"},
+      {"AssocArrayContainer state", models, 0,
+       payload_of<core::AssocArrayContainer>, 0, 4, 5,
+       "state holds 5, outside [0, 4]"},
+      {"AssocArrayContainer operation", models, 0,
+       payload_of<core::AssocArrayContainer>, 4, 4, 3,
+       "operation holds 3, outside [0, 2]"},
+      {"VectorContainer state", models, 0, payload_of<core::VectorContainer>,
+       0, 4, 4, "state holds 4, outside [0, 3]"},
+      {"Saa2VgaCustomSram state", custom_sram, 60,
+       payload_of<designs::Saa2VgaCustomSram>, 0, 4, 3,
+       "state holds 3, outside [0, 2]"},
+      {"SramArbiter grant", shared, 40, payload_of<devices::SramArbiter>, 0,
+       8, 2, "grant holds 2, outside [-1, 1]"},
+      {"SramArbiter round-robin", shared, 40,
+       payload_of<devices::SramArbiter>, 8, 8, -1,
+       "round-robin pointer holds -1, outside [0, 1]"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    auto top = c.make();
+    Simulator sim(*top, {});
+    sim.reset();
+    run_steps(sim, c.steps);
+    const std::vector<std::uint8_t> blob = sim.save_snapshot().bytes();
+    const Payload p = c.find(module_payloads(*top, blob));
+    const std::size_t at =
+        p.at + static_cast<std::size_t>(
+                   c.at >= 0 ? c.at
+                             : static_cast<std::ptrdiff_t>(p.len) + c.at);
+    expect_restore_rejects(
+        sim, rtl::Snapshot(with_field(blob, at, c.width, c.value)),
+        {c.want, "module '" + p.module->full_name() + "'"});
+    // reset() recovers: module state matches a fresh instance, before
+    // and after both run on.
+    auto fresh = c.make();
+    Simulator fresh_sim(*fresh, {});
+    fresh_sim.reset();
+    EXPECT_EQ(module_states(*top), module_states(*fresh));
+    sim.reset();
+    run_steps(sim, 100);
+    run_steps(fresh_sim, 100);
+    EXPECT_EQ(module_states(*top), module_states(*fresh));
+    // The uncorrupted blob still restores.
+    sim.restore_snapshot(rtl::Snapshot(blob));
+    EXPECT_EQ(sim.save_snapshot().bytes(), blob);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Construction baseline: zero storage as one flag, preloads kept
+// ---------------------------------------------------------------------
+
+TEST(StateCodec, BaselineEncodesZeroArraysAsOneFlag) {
+  for (const std::vector<Word>& v :
+       {std::vector<Word>(1024, 0), std::vector<Word>{0, 0, 7}}) {
+    const bool zero = std::ranges::all_of(v, [](Word w) { return w == 0; });
+    SCOPED_TRACE(zero ? "all zero" : "non-zero");
+    std::vector<Word> state = v;
+    rtl::StateWriter blob_w;
+    rtl::StateIO blob_io(blob_w);
+    blob_io(state);
+    rtl::StateWriter base_w;
+    rtl::StateIO base_io(base_w, rtl::StateIO::Encoding::Baseline);
+    base_io(state);
+    const std::vector<std::uint8_t> blob = std::move(blob_w).take();
+    const std::vector<std::uint8_t> base = std::move(base_w).take();
+    // The blob keeps the full encoding either way.
+    rtl::StateWriter full;
+    full.words(v);
+    EXPECT_EQ(blob, std::move(full).take());
+    if (zero) {
+      EXPECT_EQ(base, std::vector<std::uint8_t>{0});
+    } else {
+      ASSERT_EQ(base.size(), 1 + blob.size());
+      EXPECT_EQ(base[0], 1);
+      EXPECT_TRUE(std::equal(blob.begin(), blob.end(), base.begin() + 1));
+    }
+    // Reloading overwrites whatever the array drifted to.
+    std::ranges::fill(state, Word{0x5A});
+    rtl::StateReader r(base);
+    rtl::StateIO in(r, rtl::StateIO::Encoding::Baseline);
+    in(state);
+    EXPECT_EQ(state, v);
+    EXPECT_EQ(r.remaining(), 0u);
+  }
+}
+
+TEST(Snapshot, ResetAfterSramWritesEqualsFreshReset) {
+  // reset() restores the SRAM images from the baseline's zero flags:
+  // the module state after reset must be the one a fresh simulator
+  // saves.
+  const designs::Saa2VgaConfig cfg{
+      .width = 16, .height = 12, .device = designs::DeviceKind::Sram};
+  auto fresh = designs::make_saa2vga_pattern(cfg);
+  Simulator fresh_sim(*fresh, {});
+  fresh_sim.reset();
+
+  auto d = designs::make_saa2vga_pattern(cfg);
+  const auto srams = srams_of(*d);
+  Simulator sim(*d, {});
+  sim.reset();
+  run_steps(sim, 400);
+  const bool written = std::ranges::any_of(
+      srams, [](const devices::ExternalSram* s) {
+        return std::ranges::any_of(s->mem(), [](Word w) { return w != 0; });
+      });
+  ASSERT_TRUE(written) << "no SRAM word written yet; the test is vacuous";
+  sim.reset();
+  // The learned fanout lists grew during the run and reset() keeps
+  // them, so compare the blobs from the module section on: module
+  // count, then every length-framed payload.
+  const auto module_section = [](Module& top, const rtl::Snapshot& snap) {
+    const std::vector<std::uint8_t>& b = snap.bytes();
+    const std::size_t at = module_payloads(top, b).front().at - 8;
+    return std::vector<std::uint8_t>(b.begin() + at, b.end());
+  };
+  EXPECT_EQ(module_section(*d, sim.save_snapshot()),
+            module_section(*fresh, fresh_sim.save_snapshot()));
+}
+
+/// One BlockRam the testbench drives directly through its ports.
+struct BramTop : Module {
+  Bit a_en{*this, "a_en"};
+  Bit a_we{*this, "a_we"};
+  Bus a_addr{*this, "a_addr", 4};
+  Bus a_wdata{*this, "a_wdata", 8};
+  Bus a_rdata{*this, "a_rdata", 8};
+  Bit b_en{*this, "b_en"};
+  Bus b_addr{*this, "b_addr", 4};
+  Bus b_rdata{*this, "b_rdata", 8};
+  devices::BlockRam ram{this,
+                        "ram",
+                        {.data_width = 8, .depth = 16},
+                        {a_en, a_we, a_addr, a_wdata, a_rdata, b_en, b_addr,
+                         b_rdata}};
+  BramTop() : Module(nullptr, "bramtop") {}
+};
+
+TEST(Snapshot, PreloadBeforeConstructionSurvivesRunAndReset) {
+  // A preload made before the simulator exists is part of the
+  // construction state: a run may overwrite it, reset() brings it back.
+  {
+    BramTop t;
+    t.ram.preload(2, {0x11, 0x22, 0x33});
+    const std::vector<Word> image = t.ram.mem();
+    Simulator sim(t, {});
+    sim.reset();
+    EXPECT_EQ(t.ram.mem(), image);
+    t.a_en.write(true);
+    t.a_we.write(true);
+    t.a_addr.write(3);
+    t.a_wdata.write(0x99);
+    sim.step();
+    t.a_we.write(false);
+    sim.step();
+    ASSERT_EQ(t.ram.mem()[3], 0x99u);
+    sim.reset();
+    EXPECT_EQ(t.ram.mem(), image);
+  }
+  {
+    const designs::Saa2VgaConfig cfg{
+        .width = 16, .height = 12, .device = designs::DeviceKind::Sram};
+    auto d = designs::make_saa2vga_pattern(cfg);
+    const auto srams = srams_of(*d);
+    ASSERT_EQ(srams.size(), 2u);
+    d->visit([](Module& m) {
+      if (auto* s = dynamic_cast<devices::ExternalSram*>(&m)) {
+        // The buffers start at 0x0000 and 0x8000; 0xFFF0 is in neither.
+        s->preload(0x0000, {0xA5, 0x5A});
+        s->preload(0x8000, {0xA5, 0x5A});
+        s->preload(0xFFF0, {1, 2, 3});
+      }
+    });
+    std::vector<std::vector<Word>> images;
+    for (const devices::ExternalSram* s : srams) images.push_back(s->mem());
+    Simulator sim(*d, {});
+    sim.reset();
+    int steps = 0;
+    while (!d->finished() && steps < 1'000'000) {
+      sim.step();
+      ++steps;
+    }
+    ASSERT_TRUE(d->finished());
+    for (std::size_t i = 0; i < srams.size(); ++i) {
+      SCOPED_TRACE(srams[i]->full_name());
+      EXPECT_NE(srams[i]->mem(), images[i]) << "the run wrote no SRAM word";
+      EXPECT_EQ(srams[i]->mem()[0xFFF1], 2u);
+    }
+    sim.reset();
+    for (std::size_t i = 0; i < srams.size(); ++i) {
+      SCOPED_TRACE(srams[i]->full_name());
+      EXPECT_EQ(srams[i]->mem(), images[i]);
+    }
+  }
 }
 
 }  // namespace
