@@ -618,6 +618,9 @@ hwpat_status hwpat_sweep_result_at(const hwpat_sweep* sweep, size_t i,
     full.cycles = r.cycles;
     full.wall_seconds = r.wall_seconds;
     full.steps_per_sec = r.steps_per_sec;
+    full.build_seconds = r.build_seconds;
+    full.setup_seconds = r.setup_seconds;
+    full.teardown_seconds = r.teardown_seconds;
     copy_out(out, full);
   });
 }

@@ -244,6 +244,11 @@ typedef struct hwpat_sweep_result {
   uint64_t cycles;         /* final Simulator::cycle() */
   double wall_seconds;     /* measured phase only */
   double steps_per_sec;
+  /* Host time of the job's other phases (appended; a caller built
+   * against the older, shorter struct is still served its prefix). */
+  double build_seconds;    /* design build */
+  double setup_seconds;    /* elaborate + reset + warmup */
+  double teardown_seconds; /* simulator and design destruction */
 } hwpat_sweep_result;
 
 /* Result of variant i (in hwpat_sweep_add order), after a successful

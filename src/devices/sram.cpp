@@ -7,7 +7,7 @@ ExternalSram::ExternalSram(Module* parent, std::string name, SramConfig cfg,
     : Module(parent, std::move(name)),
       cfg_(cfg),
       p_(p),
-      mem_(std::size_t{1} << cfg.addr_width, 0) {
+      mem_(std::size_t{1} << cfg.addr_width) {
   HWPAT_ASSERT(cfg_.data_width >= 1 && cfg_.data_width <= kMaxBusBits);
   HWPAT_ASSERT(cfg_.addr_width >= 1 && cfg_.addr_width <= 24);
   HWPAT_ASSERT(cfg_.latency >= 1);
@@ -17,7 +17,7 @@ void ExternalSram::preload(std::size_t offset,
                            const std::vector<Word>& data) {
   HWPAT_ASSERT(offset + data.size() <= mem_.size());
   for (std::size_t i = 0; i < data.size(); ++i)
-    mem_[offset + i] = truncate(data[i], cfg_.data_width);
+    mem_.set(offset + i, truncate(data[i], cfg_.data_width));
 }
 
 void ExternalSram::declare_state() {
@@ -35,9 +35,9 @@ void ExternalSram::do_op() {
     return;
   }
   if (p_.we.read()) {
-    mem_[a] = truncate(p_.wdata.read(), cfg_.data_width);
+    mem_.set(a, truncate(p_.wdata.read(), cfg_.data_width));
   } else {
-    p_.rdata.write(mem_[a]);
+    p_.rdata.write(mem_.get(a));
   }
   p_.ack.write(true);
 }

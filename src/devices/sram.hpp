@@ -13,12 +13,23 @@
 // Being off-chip, the SRAM itself consumes no FPGA resources (that is
 // why the paper's saa2vga_2 row shows 0 block RAMs); only the
 // controller logic inside containers does.
+//
+// Memory model: the 2^addr_width-word image is a PagedWords
+// (rtl/paged_words.hpp) of 512-word (4 KiB) pages, each allocated by
+// the first non-zero write into it.  Every word reads as 0 until
+// written, and writing 0 into an untouched page allocates nothing, so
+// a design that addresses one region of a 64 Ki-word SRAM holds one
+// page per region, not 512 KiB.  Snapshot blobs encode the full image
+// word for word.  The testbench backdoor is preload() (before or
+// between runs), word() for one word and image() for a flat copy of
+// the whole array; resident_pages() counts the allocated pages.
 #pragma once
 
 #include <vector>
 
 #include "devices/device.hpp"
 #include "rtl/module.hpp"
+#include "rtl/paged_words.hpp"
 
 namespace hwpat::devices {
 
@@ -56,7 +67,11 @@ class ExternalSram : public rtl::Module {
   [[nodiscard]] const SramConfig& config() const { return cfg_; }
 
   /// Direct backdoor access for testbenches (load/readback images).
-  [[nodiscard]] const std::vector<Word>& mem() const { return mem_; }
+  [[nodiscard]] Word word(std::size_t addr) const { return mem_.get(addr); }
+  [[nodiscard]] std::vector<Word> image() const { return mem_.image(); }
+  [[nodiscard]] std::size_t resident_pages() const {
+    return mem_.resident_pages();
+  }
   void preload(std::size_t offset, const std::vector<Word>& data);
 
  private:
@@ -64,7 +79,7 @@ class ExternalSram : public rtl::Module {
 
   SramConfig cfg_;
   SramPorts p_;
-  std::vector<Word> mem_;
+  rtl::PagedWords mem_;
   State state_ = State::Idle;
   int countdown_ = 0;
 

@@ -501,6 +501,25 @@ void Simulator::sens_push(std::int32_t mid, std::int32_t sid) {
   sens_count_[mid] = cnt + 1;
 }
 
+void Simulator::forget_sensitivity() {
+  const std::size_t nsig = signals_.size();
+  const std::size_t nmod = modules_.size();
+  fan_pool_.clear();
+  sens_pool_.clear();
+  std::fill_n(fan_begin_, nsig, std::uint32_t{0});
+  std::fill_n(fan_count_, nsig, std::uint32_t{0});
+  std::fill_n(fan_cap_, nsig, std::uint32_t{0});
+  std::fill_n(sens_begin_, nmod, std::uint32_t{0});
+  std::fill_n(sens_count_, nmod, std::uint32_t{0});
+  std::fill_n(sens_cap_, nmod, std::uint32_t{0});
+  std::fill_n(mod_mark_, nmod, std::uint64_t{0});
+  std::fill_n(sig_stamp_, nsig, std::uint64_t{0});
+  std::fill_n(sig_mark_, nsig, std::uint64_t{0});
+  std::fill_n(last_reader_, nsig, std::int32_t{-1});
+  mark_epoch_ = 0;
+  eval_stamp_ = 0;
+}
+
 void Simulator::merge_reads(std::int32_t mid,
                             const std::vector<std::int32_t>& reads) {
   // Fast path: every read signal was last merged by this very module —
@@ -736,6 +755,11 @@ void Simulator::reset() {
   touched_.clear();
   std::fill_n(sig_pending_, signals_.size(),
               static_cast<unsigned char>(0));
+  // The first settle below evaluates every module, so it re-learns the
+  // sensitivity exactly as the first settle after bind does: the fanout
+  // order (and so the blob bytes and the work counters) after reset()
+  // does not depend on the run before it.
+  forget_sensitivity();
   for (SignalBase* s : signals_) s->reset_value();
   {
     // Reset means *construction-time* state, unconditionally: reload

@@ -475,6 +475,12 @@ class Simulator {
   void merge_reads(std::int32_t mid,
                    const std::vector<std::int32_t>& reads);
 
+  /// Empties the learned sensitivity: fanout and read-set CSRs,
+  /// last_reader_, the trace and merge stamps and their epochs — the
+  /// state a fresh bind starts from.  reset() and restore_snapshot()
+  /// both begin here, so neither depends on what a previous run learned.
+  void forget_sensitivity();
+
   /// Runs one eval_comb() under the read tracer and folds newly observed
   /// reads into the fanout/read-set CSRs.
   void eval_traced(Module* m);
@@ -661,8 +667,8 @@ class Simulator {
   /// Every module's visit_state payload captured at construction, so
   /// reset() — after a restore, a crash, or an ordinary run — returns
   /// to construction-time state, not whatever the modules drifted to.
-  /// An internal encoding (StateIO::Encoding::Baseline): an all-zero
-  /// storage array is one flag byte, so an SRAM-bound design's idle
+  /// An internal encoding (StateIO::Encoding::Baseline): a paged SRAM
+  /// image keeps only its present pages, so an SRAM-bound design's idle
   /// 2^16-word images are not copied.  Snapshot blobs are unaffected.
   std::vector<std::uint8_t> baseline_;
 

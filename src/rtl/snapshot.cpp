@@ -248,14 +248,8 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     pending_.clear();
     eval_list_.clear();
     touched_.clear();
-    const std::size_t nsig = signals_.size();
-    const std::size_t nmod = modules_.size();
-    std::fill_n(sig_pending_, nsig, static_cast<unsigned char>(0));
-    std::fill_n(sig_stamp_, nsig, std::uint64_t{0});
-    std::fill_n(sig_mark_, nsig, std::uint64_t{0});
-    std::fill_n(last_reader_, nsig, std::int32_t{-1});
-    mark_epoch_ = 0;
-    eval_stamp_ = 0;
+    std::fill_n(sig_pending_, signals_.size(),
+                static_cast<unsigned char>(0));
     // Only listed signals carry the vcd mark (sentinel 2 — never
     // sampled — must survive), so clearing the list clears the marks.
     for (const std::int32_t sid : vcd_changed_) sig_vcdmark_[sid] = 0;
@@ -274,15 +268,7 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
     // sensitivity, never an inconsistent one.  mod_mark_ detects a
     // duplicated module id inside one signal's list (a corrupted blob
     // the old pointer-vector restore silently tolerated).
-    fan_pool_.clear();
-    sens_pool_.clear();
-    std::fill_n(fan_begin_, nsig, std::uint32_t{0});
-    std::fill_n(fan_count_, nsig, std::uint32_t{0});
-    std::fill_n(fan_cap_, nsig, std::uint32_t{0});
-    std::fill_n(sens_begin_, nmod, std::uint32_t{0});
-    std::fill_n(sens_count_, nmod, std::uint32_t{0});
-    std::fill_n(sens_cap_, nmod, std::uint32_t{0});
-    std::fill_n(mod_mark_, nmod, std::uint64_t{0});
+    forget_sensitivity();
     std::uint64_t pass = 0;
     for (SignalBase* s : signals_) {
       const std::int32_t sid = s->id_;
@@ -303,7 +289,7 @@ void Simulator::restore_snapshot(const Snapshot& snap) {
         sens_push(static_cast<std::int32_t>(id), sid);
       }
     }
-    std::fill_n(mod_dirty_, nmod, static_cast<unsigned char>(0));
+    std::fill_n(mod_dirty_, modules_.size(), static_cast<unsigned char>(0));
     for (Module* m : modules_) m->seq_touched_ = false;
     // Module payloads.
     load_module_states(r, StateIO::Encoding::Blob);

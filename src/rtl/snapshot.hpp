@@ -14,17 +14,18 @@
 // order, so blobs are portable across builds of the same design.  A
 // word array (BlockRam, FIFO and SRAM storage, video frames) is one
 // block: a u64 element count, then every element as a little-endian
-// u64.  On a little-endian host that block is the vector's own memory,
-// so it moves in one copy each way; the per-element loop runs only on
-// big-endian hosts.  StateReader throws SnapshotError on any truncated
-// read, which is what turns a corrupted blob into a clean failure.
+// u64; a paged SRAM image (rtl/paged_words.hpp) is written the same
+// way, its absent pages as zeros.  On a little-endian host that block
+// is the vector's own memory, so it moves in one copy each way; the
+// per-element loop runs only on big-endian hosts.  StateReader throws
+// SnapshotError on any truncated read, which is what turns a corrupted
+// blob into a clean failure.
 //
 // StateIO runs one field list in either direction: a module names its
 // state once, in visit_state(), and the same code saves and restores
 // it, so the two can no longer drift apart.
 #pragma once
 
-#include <algorithm>
 #include <bit>
 #include <concepts>
 #include <cstddef>
@@ -37,6 +38,7 @@
 
 #include "common/bits.hpp"
 #include "common/error.hpp"
+#include "rtl/paged_words.hpp"
 
 namespace hwpat::rtl {
 
@@ -107,6 +109,15 @@ class StateWriter {
     else
       for (std::size_t i = 0; i < n; ++i) u64(p[i]);
   }
+
+  /// `n` zero words (an absent page of a PagedWords).
+  void zero_words(std::size_t n) {
+    buf_.resize(buf_.size() + n * sizeof(Word));
+  }
+
+  /// Room for `n` more bytes, so a run of small appends grows the
+  /// buffer once.
+  void reserve_more(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
   /// Reserves a 4-byte length slot; patch it later with patch_u32().
   [[nodiscard]] std::size_t mark_u32() {
@@ -200,6 +211,18 @@ class StateReader {
     }
   }
 
+  /// Skips the next `n` (at most one page of) words when all of them
+  /// are zero, which the bytes show on any host; returns whether it did.
+  bool skip_zero_words(std::size_t n) {
+    HWPAT_ASSERT(n <= PagedWords::kPageWords);
+    need_words(n);
+    const std::size_t bytes = n * sizeof(Word);
+    if (std::memcmp(data_ + pos_, PagedWords::kZeroPage, bytes) != 0)
+      return false;
+    pos_ += bytes;
+    return true;
+  }
+
   /// A reader over the next `n` bytes, which this reader skips.
   [[nodiscard]] StateReader slice(std::size_t n, const char* what) {
     need(n, what);
@@ -239,18 +262,18 @@ class StateReader {
 /// a StateWriter it saves each field it is handed, over a StateReader
 /// it overwrites each field from the blob, so `io(head_, count_, mem_)`
 /// is both halves.  Encodings by field type: int i64; Word, uint64_t
-/// and size_t u64; uint32_t u32; bool u8; std::vector<Word> a u64
-/// count and a block, where the count must equal the vector's size
-/// (storage is sized at construction).  Index fields and enums go
-/// through bounded() instead.  Reading throws SnapshotError on a
-/// truncated payload, an out-of-range int or a mismatched count.
+/// and size_t u64; uint32_t u32; bool u8; std::vector<Word> and
+/// PagedWords a u64 count and a block, where the count must equal the
+/// array's size (storage is sized at construction).  Index fields and
+/// enums go through bounded() instead.  Reading throws SnapshotError on
+/// a truncated payload, an out-of-range int or a mismatched count.
 class StateIO {
  public:
   /// Blob is the snapshot format.  Baseline is the simulator's private
   /// construction-time image that reset() reloads: the same encoding,
-  /// except that a fixed word array that is all zero is one flag byte
-  /// instead of its block, so an idle 2^16-word SRAM costs one byte.
-  /// Baseline bytes never leave the simulator.
+  /// except that a PagedWords lists only its present pages, so an idle
+  /// 2^16-word SRAM costs four bytes.  Baseline bytes never leave the
+  /// simulator.
   enum class Encoding : bool { Blob, Baseline };
 
   explicit StateIO(StateWriter& w, Encoding e = Encoding::Blob)
@@ -349,24 +372,66 @@ class StateIO {
     else w_->u64(v);
   }
 
-  void field(std::vector<Word>& v) {
-    if (baseline_) {
-      // Flag byte: 1 when the full encoding follows, 0 for all zeros.
-      bool block = !reading() && std::ranges::any_of(
-                                     v, [](Word x) { return x != 0; });
-      field(block);
-      if (!block) {
-        if (reading()) std::ranges::fill(v, Word{0});
-        return;
-      }
-    }
-    std::uint64_t n = v.size();
+  /// The u64 count of a word array sized by the design.
+  void fixed_count(std::size_t size) {
+    std::uint64_t n = size;
     field(n);
-    if (n != v.size())
+    if (n != size)
       throw SnapshotError("snapshot: word vector of " + std::to_string(n) +
-                          " word(s) in the blob, " +
-                          std::to_string(v.size()) + " in the design");
+                          " word(s) in the blob, " + std::to_string(size) +
+                          " in the design");
+  }
+
+  void field(std::vector<Word>& v) {
+    fixed_count(v.size());
     word_block(v);
+  }
+
+  void field(PagedWords& v) {
+    if (baseline_) return present_pages(v);
+    // Blob: the std::vector<Word> encoding of the same size.  Absent
+    // pages are written as zeros; a restored page that holds only
+    // zeros is dropped, so the restored image is as sparse as it can be.
+    fixed_count(v.size());
+    if (!reading()) w_->reserve_more(v.size() * sizeof(Word));
+    for (std::size_t p = 0; p < v.page_count(); ++p) {
+      const std::size_t pw = v.page_words(p);
+      if (!reading()) {
+        if (const Word* w = v.page(p)) w_->word_block(w, pw);
+        else w_->zero_words(pw);
+        continue;
+      }
+      if (r_->skip_zero_words(pw)) v.drop_page(p);
+      else r_->word_block(v.touch_page(p), pw);
+    }
+  }
+
+  /// Baseline encoding of a PagedWords: a u32 count of present pages,
+  /// then each as its u32 index and its block.  Reading drops every
+  /// page the list does not name.
+  void present_pages(PagedWords& v) {
+    if (!reading()) {
+      w_->u32(static_cast<std::uint32_t>(v.resident_pages()));
+      for (std::size_t p = 0; p < v.page_count(); ++p)
+        if (const Word* w = v.page(p)) {
+          w_->u32(static_cast<std::uint32_t>(p));
+          w_->word_block(w, v.page_words(p));
+        }
+      return;
+    }
+    const std::uint32_t k = r_->u32();
+    std::size_t next = 0;  // pages below `next` are settled
+    for (std::uint32_t i = 0; i < k; ++i) {
+      const std::uint32_t p = r_->u32();
+      if (p < next || p >= v.page_count())
+        throw SnapshotError("snapshot: page index " + std::to_string(p) +
+                            " out of order or past " +
+                            std::to_string(v.page_count()) + " page(s)");
+      for (; next < p; ++next) v.drop_page(next);
+      r_->word_block(v.touch_page(p), v.page_words(p));
+      next = p + 1;
+    }
+    for (; next < v.page_count(); ++next) v.drop_page(next);
   }
 
   StateWriter* w_ = nullptr;

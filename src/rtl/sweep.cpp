@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <unordered_set>
 
@@ -110,6 +111,42 @@ void run_measured(Simulator& sim, const Module& top,
   out.ok = true;
 }
 
+/// One job's design and simulator, built and torn down with their
+/// host times recorded in `out`.
+class TimedRun {
+ public:
+  TimedRun(const SweepJob& job, const Simulator::Options& sopt,
+           SweepResult& out)
+      : out_(out) {
+    Clock::time_point t = Clock::now();
+    top_ = job.build();
+    out.build_seconds = seconds_since(t);
+    if (!top_)
+      throw Error("SweepJob '" + job.name + "': build() returned null");
+    t0_ = Clock::now();
+    sim_.emplace(*top_, sopt);
+  }
+  TimedRun(const TimedRun&) = delete;
+  TimedRun& operator=(const TimedRun&) = delete;
+  ~TimedRun() {
+    const Clock::time_point t = Clock::now();
+    sim_.reset();
+    top_.reset();
+    out_.teardown_seconds = seconds_since(t);
+  }
+
+  Module& top() { return *top_; }
+  Simulator& sim() { return *sim_; }
+  /// Ends the setup phase, which began with the elaboration.
+  void setup_done() { out_.setup_seconds = seconds_since(t0_); }
+
+ private:
+  SweepResult& out_;
+  std::unique_ptr<Module> top_;
+  std::optional<Simulator> sim_;
+  Clock::time_point t0_;
+};
+
 /// Wraps one whole run so no exception can escape into the pool.
 template <typename Body>
 void guarded(SweepResult& out, const std::string& name, Body&& body) {
@@ -150,16 +187,15 @@ std::vector<SweepResult> SweepDriver::run(
   for_each_indexed(jobs.size(), opt_.workers, [&](std::size_t i) {
     const SweepJob& job = jobs[i];
     guarded(results[i], job.name, [&] {
-      std::unique_ptr<Module> top = job.build();
-      if (!top)
-        throw Error("SweepJob '" + job.name + "': build() returned null");
-      Simulator sim(*top, job.sim);
+      TimedRun run(job, job.sim, results[i]);
+      Simulator& sim = run.sim();
       sim.reset();
       step_many(sim, job.warmup);
       if (!opt_.vcd_dir.empty())
         sim.open_vcd(opt_.vcd_dir + "/" + job.name + ".vcd");
-      if (job.at_warmup) job.at_warmup(*top, sim);
-      run_measured(sim, *top, job.done, opt_.max_cycles, opt_, i,
+      if (job.at_warmup) job.at_warmup(run.top(), sim);
+      run.setup_done();
+      run_measured(sim, run.top(), job.done, opt_.max_cycles, opt_, i,
                    results[i]);
     });
   });
@@ -196,20 +232,19 @@ std::vector<SweepResult> SweepDriver::run_forked(
     const SweepBranch& br = branches[i];
     const std::string name = base.name + "." + br.name;
     guarded(results[i], name, [&] {
-      std::unique_ptr<Module> top = base.build();
-      if (!top)
-        throw Error("SweepJob '" + base.name + "': build() returned null");
       Simulator::Options sopt = base.sim;
       if (!br.fault_plan.empty()) sopt.fault_plan = br.fault_plan;
-      Simulator sim(*top, sopt);
+      TimedRun run(base, sopt, results[i]);
+      Simulator& sim = run.sim();
       sim.restore_snapshot(blob);
       if (!opt_.vcd_dir.empty())
         sim.open_vcd(opt_.vcd_dir + "/" + name + ".vcd");
-      if (br.stimulus) br.stimulus(*top, sim);
+      if (br.stimulus) br.stimulus(run.top(), sim);
+      run.setup_done();
       const auto& done = br.done ? br.done : base.done;
       const std::uint64_t budget =
           br.max_cycles != 0 ? br.max_cycles : opt_.max_cycles;
-      run_measured(sim, *top, done, budget, opt_, i, results[i]);
+      run_measured(sim, run.top(), done, budget, opt_, i, results[i]);
       results[i].snapshot_bytes = blob.size_bytes();
     });
   });

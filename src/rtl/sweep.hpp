@@ -114,6 +114,14 @@ struct SweepResult {
   Simulator::Stats stats;    ///< cumulative (warmup included)
   double wall_seconds = 0.0;     ///< measured phase only
   double steps_per_sec = 0.0;    ///< steps / wall_seconds
+  /// Host time of the job's other phases, so a sweep's wall time is
+  /// attributed per job: `build` is the design factory call; `setup`
+  /// is elaborate + reset + warmup (a fork branch: elaborate +
+  /// restore), plus the VCD open and the at_warmup / stimulus hook;
+  /// `teardown` destroys the simulator and the design.
+  double build_seconds = 0.0;
+  double setup_seconds = 0.0;
+  double teardown_seconds = 0.0;
   std::size_t snapshot_bytes = 0;  ///< fork mode: base blob size
   /// Measured-phase telemetry, aggregated from the run's Tracer when
   /// SweepOptions::trace is on (all zero otherwise).

@@ -18,6 +18,7 @@
  * can run it without any framework.
  */
 #include <assert.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
@@ -336,8 +337,24 @@ static void test_sweep(void) {
     CHECK(r.outcome == HWPAT_RUN_DONE);
     CHECK(r.steps > 0);
     CHECK(r.name != NULL && r.name[0] != '\0');
+    CHECK(r.build_seconds >= 0.0 && r.setup_seconds >= 0.0 &&
+          r.teardown_seconds >= 0.0);
+    CHECK(r.build_seconds + r.setup_seconds + r.teardown_seconds > 0.0);
     printf("  sweep[%zu] %-8s steps=%llu %.0f steps/s\n", i, r.name,
            (unsigned long long)r.steps, r.steps_per_sec);
+  }
+
+  /* A caller built against the struct before the phase times were
+   * appended is served exactly its prefix. */
+  {
+    hwpat_sweep_result old;
+    memset(&old, 0xAB, sizeof old);
+    old.struct_size = offsetof(hwpat_sweep_result, build_seconds);
+    CHECK(hwpat_sweep_result_at(sweep, 0, &old) == HWPAT_OK);
+    CHECK(old.struct_size == offsetof(hwpat_sweep_result, build_seconds));
+    CHECK(old.ok == 1 && old.steps > 0 && old.wall_seconds > 0.0);
+    const unsigned char* tail = (const unsigned char*)&old.build_seconds;
+    for (size_t k = 0; k < 3 * sizeof(double); ++k) CHECK(tail[k] == 0xAB);
   }
 
   hwpat_sweep_result oob;

@@ -212,10 +212,10 @@ TEST(SramStream, UsesOnlyItsAddressRegion) {
   sim.reset();
   tb::step_until(
       sim, [&] { return tb.drainer.got().size() == data.size(); }, 20000);
-  for (std::size_t a = 0; a < tb.sram.mem().size(); ++a) {
+  const std::vector<Word> image = tb.sram.image();
+  for (std::size_t a = 0; a < image.size(); ++a) {
     if (a < 0x40 || a >= 0x48) {
-      EXPECT_EQ(tb.sram.mem()[a], 0u) << "stray write at 0x" << std::hex
-                                      << a;
+      EXPECT_EQ(image[a], 0u) << "stray write at 0x" << std::hex << a;
     }
   }
 }

@@ -284,7 +284,7 @@ TEST(Sram, PreloadAndBackdoor) {
   tb.access(sim, false, 5);
   EXPECT_EQ(tb.rdata.read(), 22u);
   tb.access(sim, true, 6, 44);
-  EXPECT_EQ(tb.sram.mem()[6], 44u);
+  EXPECT_EQ(tb.sram.word(6), 44u);
 }
 
 TEST(Sram, BackToBackAccessesNeedTurnaround) {

@@ -959,8 +959,7 @@ TEST(Snapshot, SramImagesSurviveRestoreAndResetClearsThem) {
   ASSERT_FALSE(a->finished());
   const bool written = std::any_of(
       srams_a.begin(), srams_a.end(), [](const devices::ExternalSram* s) {
-        return std::any_of(s->mem().begin(), s->mem().end(),
-                           [](Word w) { return w != 0; });
+        return s->resident_pages() != 0;
       });
   ASSERT_TRUE(written) << "no SRAM word written yet; the test is vacuous";
   const rtl::Snapshot blob = sim_a.save_snapshot();
@@ -972,7 +971,7 @@ TEST(Snapshot, SramImagesSurviveRestoreAndResetClearsThem) {
   sim_b.restore_snapshot(blob);
   for (std::size_t i = 0; i < srams_a.size(); ++i) {
     SCOPED_TRACE(srams_a[i]->full_name());
-    EXPECT_EQ(srams_b[i]->mem(), srams_a[i]->mem());
+    EXPECT_EQ(srams_b[i]->image(), srams_a[i]->image());
   }
   EXPECT_EQ(sim_b.save_snapshot(), blob)
       << "save -> restore -> save must be bit-stable";
@@ -980,10 +979,12 @@ TEST(Snapshot, SramImagesSurviveRestoreAndResetClearsThem) {
   sim_b.reset();
   for (const devices::ExternalSram* s : srams_b) {
     SCOPED_TRACE(s->full_name());
-    ASSERT_EQ(s->mem().size(), std::size_t{1} << 16);
-    EXPECT_TRUE(std::all_of(s->mem().begin(), s->mem().end(),
-                            [](Word w) { return w == 0; }))
+    const std::vector<Word> image = s->image();
+    ASSERT_EQ(image.size(), std::size_t{1} << 16);
+    EXPECT_TRUE(std::ranges::all_of(image, [](Word w) { return w == 0; }))
         << "reset() must reload the construction-time zeros";
+    EXPECT_EQ(s->resident_pages(), 0u)
+        << "reset() must free the pages the run allocated";
   }
 }
 
@@ -1627,48 +1628,75 @@ TEST(Snapshot, OutOfRangeIndexAndEnumFieldsAreRejected) {
 }
 
 // ---------------------------------------------------------------------
-// Construction baseline: zero storage as one flag, preloads kept
+// Construction baseline: present SRAM pages only, preloads kept
 // ---------------------------------------------------------------------
 
-TEST(StateCodec, BaselineEncodesZeroArraysAsOneFlag) {
-  for (const std::vector<Word>& v :
-       {std::vector<Word>(1024, 0), std::vector<Word>{0, 0, 7}}) {
-    const bool zero = std::ranges::all_of(v, [](Word w) { return w == 0; });
-    SCOPED_TRACE(zero ? "all zero" : "non-zero");
-    std::vector<Word> state = v;
-    rtl::StateWriter blob_w;
-    rtl::StateIO blob_io(blob_w);
-    blob_io(state);
-    rtl::StateWriter base_w;
-    rtl::StateIO base_io(base_w, rtl::StateIO::Encoding::Baseline);
-    base_io(state);
-    const std::vector<std::uint8_t> blob = std::move(blob_w).take();
-    const std::vector<std::uint8_t> base = std::move(base_w).take();
-    // The blob keeps the full encoding either way.
-    rtl::StateWriter full;
-    full.words(v);
-    EXPECT_EQ(blob, std::move(full).take());
-    if (zero) {
-      EXPECT_EQ(base, std::vector<std::uint8_t>{0});
-    } else {
-      ASSERT_EQ(base.size(), 1 + blob.size());
-      EXPECT_EQ(base[0], 1);
-      EXPECT_TRUE(std::equal(blob.begin(), blob.end(), base.begin() + 1));
-    }
-    // Reloading overwrites whatever the array drifted to.
-    std::ranges::fill(state, Word{0x5A});
+std::vector<std::uint8_t> encode(rtl::StateIO::Encoding enc, auto& field) {
+  rtl::StateWriter w;
+  rtl::StateIO io(w, enc);
+  io(field);
+  return std::move(w).take();
+}
+
+TEST(StateCodec, PagedImageBaselineListsPresentPagesOnly) {
+  using rtl::StateIO;
+  constexpr std::size_t kPage = rtl::PagedWords::kPageWords;
+  rtl::PagedWords img(3 * kPage);
+  img.set(5, 7);              // page 0
+  img.set(2 * kPage + 1, 9);  // page 2
+  const std::vector<Word> flat = img.image();
+  // The blob is the std::vector<Word> encoding of the flat image.
+  rtl::StateWriter full;
+  full.words(flat);
+  EXPECT_EQ(encode(StateIO::Encoding::Blob, img), std::move(full).take());
+  // The baseline lists pages 0 and 2: a u32 count, then per page a u32
+  // index and its words.
+  const std::vector<std::uint8_t> base =
+      encode(StateIO::Encoding::Baseline, img);
+  ASSERT_EQ(base.size(), 4 + 2 * (4 + kPage * sizeof(Word)));
+  EXPECT_EQ(base[0], 2);
+  EXPECT_EQ(base[4], 0);
+  EXPECT_EQ(base[4 + 4 + kPage * sizeof(Word)], 2);
+  // Reloading drops the page a run allocated and rewrites the others.
+  img.set(kPage, 3);
+  img.set(5, 0);
+  img.set(2 * kPage + 2, 1);
+  {
     rtl::StateReader r(base);
-    rtl::StateIO in(r, rtl::StateIO::Encoding::Baseline);
-    in(state);
-    EXPECT_EQ(state, v);
+    StateIO in(r, StateIO::Encoding::Baseline);
+    in(img);
     EXPECT_EQ(r.remaining(), 0u);
   }
+  EXPECT_EQ(img.image(), flat);
+  EXPECT_EQ(img.resident_pages(), 2u);
+  // An idle image is four bytes, and reloading it frees every page.
+  rtl::PagedWords idle(3 * kPage);
+  const std::vector<std::uint8_t> idle_base =
+      encode(StateIO::Encoding::Baseline, idle);
+  EXPECT_EQ(idle_base, std::vector<std::uint8_t>(4, 0));
+  {
+    rtl::StateReader r(idle_base);
+    StateIO in(r, StateIO::Encoding::Baseline);
+    in(img);
+  }
+  EXPECT_EQ(img.resident_pages(), 0u);
+  // A page list out of order is rejected.
+  std::vector<std::uint8_t> bad = base;
+  bad[4] = 2;
+  rtl::StateReader r(bad);
+  StateIO in(r, StateIO::Encoding::Baseline);
+  EXPECT_THROW(in(img), SnapshotError);
+  // Plain word arrays are encoded the same in both encodings.
+  std::vector<Word> fifo{0, 0, 7};
+  EXPECT_EQ(encode(StateIO::Encoding::Baseline, fifo),
+            encode(StateIO::Encoding::Blob, fifo));
 }
 
 TEST(Snapshot, ResetAfterSramWritesEqualsFreshReset) {
-  // reset() restores the SRAM images from the baseline's zero flags:
-  // the module state after reset must be the one a fresh simulator
-  // saves.
+  // reset() reloads the SRAM images from the baseline and forgets the
+  // sensitivity the run learned: after reset_stats() + reset() the
+  // whole blob must be the one a fresh simulator saves after its
+  // reset(), and both must do the same work from there on.
   const designs::Saa2VgaConfig cfg{
       .width = 16, .height = 12, .device = designs::DeviceKind::Sram};
   auto fresh = designs::make_saa2vga_pattern(cfg);
@@ -1682,20 +1710,26 @@ TEST(Snapshot, ResetAfterSramWritesEqualsFreshReset) {
   run_steps(sim, 400);
   const bool written = std::ranges::any_of(
       srams, [](const devices::ExternalSram* s) {
-        return std::ranges::any_of(s->mem(), [](Word w) { return w != 0; });
+        return std::ranges::any_of(s->image(),
+                                   [](Word w) { return w != 0; });
       });
   ASSERT_TRUE(written) << "no SRAM word written yet; the test is vacuous";
+  sim.reset_stats();
   sim.reset();
-  // The learned fanout lists grew during the run and reset() keeps
-  // them, so compare the blobs from the module section on: module
-  // count, then every length-framed payload.
-  const auto module_section = [](Module& top, const rtl::Snapshot& snap) {
-    const std::vector<std::uint8_t>& b = snap.bytes();
-    const std::size_t at = module_payloads(top, b).front().at - 8;
-    return std::vector<std::uint8_t>(b.begin() + at, b.end());
+  EXPECT_EQ(sim.save_snapshot().bytes(), fresh_sim.save_snapshot().bytes());
+
+  run_steps(sim, 200);
+  run_steps(fresh_sim, 200);
+  const auto counters = [](const Simulator::Stats& st) {
+    return std::vector<std::uint64_t>{
+        st.steps,     st.settles,   st.deltas,           st.evals,
+        st.commits,   st.commit_changes,  st.seq_touches, st.seq_skips,
+        st.edges,     st.act_skips, st.partition_settles,
+        st.partition_skips};
   };
-  EXPECT_EQ(module_section(*d, sim.save_snapshot()),
-            module_section(*fresh, fresh_sim.save_snapshot()));
+  EXPECT_EQ(counters(sim.stats()), counters(fresh_sim.stats()));
+  EXPECT_EQ(sim.stats().domain_edges, fresh_sim.stats().domain_edges);
+  EXPECT_EQ(sim.save_snapshot().bytes(), fresh_sim.save_snapshot().bytes());
 }
 
 /// One BlockRam the testbench drives directly through its ports.
@@ -1752,7 +1786,7 @@ TEST(Snapshot, PreloadBeforeConstructionSurvivesRunAndReset) {
       }
     });
     std::vector<std::vector<Word>> images;
-    for (const devices::ExternalSram* s : srams) images.push_back(s->mem());
+    for (const devices::ExternalSram* s : srams) images.push_back(s->image());
     Simulator sim(*d, {});
     sim.reset();
     int steps = 0;
@@ -1763,13 +1797,13 @@ TEST(Snapshot, PreloadBeforeConstructionSurvivesRunAndReset) {
     ASSERT_TRUE(d->finished());
     for (std::size_t i = 0; i < srams.size(); ++i) {
       SCOPED_TRACE(srams[i]->full_name());
-      EXPECT_NE(srams[i]->mem(), images[i]) << "the run wrote no SRAM word";
-      EXPECT_EQ(srams[i]->mem()[0xFFF1], 2u);
+      EXPECT_NE(srams[i]->image(), images[i]) << "the run wrote no SRAM word";
+      EXPECT_EQ(srams[i]->word(0xFFF1), 2u);
     }
     sim.reset();
     for (std::size_t i = 0; i < srams.size(); ++i) {
       SCOPED_TRACE(srams[i]->full_name());
-      EXPECT_EQ(srams[i]->mem(), images[i]);
+      EXPECT_EQ(srams[i]->image(), images[i]);
     }
   }
 }

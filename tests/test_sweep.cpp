@@ -20,7 +20,9 @@
 #include <gmock/gmock.h>
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "designs/variants.hpp"
@@ -340,6 +342,39 @@ TEST(SweepDriver, ResultsAreInvariantUnderWorkerCount) {
       EXPECT_EQ(by_workers[w][i], by_workers[0][i])
           << "variant '" << by_workers[0][i].name
           << "' differs between worker counts";
+}
+
+// ---------------------------------------------------------------------
+// Per-job phase times
+// ---------------------------------------------------------------------
+
+/// TickCounter whose construction and destruction each take >= 2 ms,
+/// so the build and teardown phases have a known floor.
+struct SlowCounter : TickCounter {
+  SlowCounter() { std::this_thread::sleep_for(std::chrono::milliseconds(2)); }
+  ~SlowCounter() override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+};
+
+TEST(SweepDriver, PhaseTimesAttributeBuildSetupAndTeardown) {
+  SweepJob job;
+  job.name = "slow";
+  job.build = [] { return std::unique_ptr<Module>(new SlowCounter()); };
+  job.warmup = 20;
+  const SweepDriver driver({2, 50, ""});
+  std::vector<SweepResult> rs = driver.run({job});
+  const std::vector<SweepResult> forked =
+      driver.run_forked(job, {{"b0", {}, {}, 0, ""}, {"b1", {}, {}, 0, ""}});
+  rs.insert(rs.end(), forked.begin(), forked.end());
+  for (const SweepResult& r : rs) {
+    SCOPED_TRACE(r.name);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_GE(r.build_seconds, 0.002);
+    EXPECT_GT(r.setup_seconds, 0.0);
+    EXPECT_GE(r.teardown_seconds, 0.002);
+    EXPECT_GE(r.wall_seconds, 0.0);
+  }
 }
 
 // ---------------------------------------------------------------------
